@@ -16,6 +16,7 @@ __all__ = [
     "FlopMeter",
     "add_macs",
     "conv2d",
+    "conv2d_reference",
     "same_pad",
     "normalize",
     "prelu",
@@ -27,6 +28,8 @@ __all__ = [
 
 # Cap on elements of a single im2col temporary (keeps peak memory bounded).
 _CHUNK_ELEMS = 8_000_000
+# Cap on elements of one per-tap product in the flat-plane conv path.
+_TAP_ELEMS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -118,58 +121,30 @@ def _conv_group(x: np.ndarray, w: np.ndarray, stride, dilation, padding) -> np.n
     return np.moveaxis(out, 3, 1)
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> np.ndarray:
-    """2-D cross-correlation with stride, dilation, groups and transposition.
-
-    Plain weights have shape (Cout, Cin/groups, kh, kw); transposed
-    weights use (Cin, Cout/groups, kh, kw).
-    """
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d expects a (B, C, H, W) input, got shape {x.shape}")
-    if w.ndim != 4 or w.shape[2:] != tuple(spec.kernel):
-        raise ShapeError(f"weight shape {w.shape} does not match kernel {spec.kernel}")
-    if spec.transposed:
-        return _conv_transposed(x, w, b, spec)
-
-    cout, cin_g = w.shape[:2]
+def _conv_windows(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Grouped cross-correlation, one window contraction per group."""
     g = spec.groups
-    if x.shape[1] != cin_g * g or cout % g:
-        raise ShapeError(
-            f"channels {x.shape[1]} inconsistent with weight {w.shape} and groups {g}"
-        )
-    cout_g = cout // g
     if g == 1:
-        out = _conv_group(x, w, spec.stride, spec.dilation, spec.padding)
-    else:
-        parts = [
-            _conv_group(
-                x[:, i * cin_g : (i + 1) * cin_g],
-                w[i * cout_g : (i + 1) * cout_g],
-                spec.stride,
-                spec.dilation,
-                spec.padding,
-            )
-            for i in range(g)
-        ]
-        out = np.concatenate(parts, axis=1)
-    if out.shape[2] == 0 or out.shape[3] == 0:
-        raise InvalidSpecError(f"zero-sized output {out.shape} for spec {spec}")
-    add_macs(out.size * cin_g * spec.kernel[0] * spec.kernel[1])
-    if b is not None:
-        if b.shape != (cout,):
-            raise ShapeError(f"bias shape {b.shape} != ({cout},)")
-        out = out + b.reshape(1, cout, 1, 1)
-    return out
-
-
-def _conv_transposed(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> np.ndarray:
-    cin, cout_g = w.shape[:2]
-    g = spec.groups
-    if x.shape[1] != cin or cin % g:
-        raise ShapeError(
-            f"channels {x.shape[1]} inconsistent with transposed weight {w.shape} and groups {g}"
+        return _conv_group(x, w, spec.stride, spec.dilation, spec.padding)
+    cin_g, cout_g = w.shape[1], w.shape[0] // g
+    parts = [
+        _conv_group(
+            x[:, i * cin_g : (i + 1) * cin_g],
+            w[i * cout_g : (i + 1) * cout_g],
+            spec.stride,
+            spec.dilation,
+            spec.padding,
         )
-    cin_g = cin // g
+        for i in range(g)
+    ]
+    return np.concatenate(parts, axis=1)
+
+
+def _conv_zero_stuffed(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Transposed conv as a stride-1 correlation of the zero-stuffed input
+    with the flipped kernel, one group at a time."""
+    g = spec.groups
+    cin_g = w.shape[0] // g
     sh, sw_ = spec.stride
     dh, dw = spec.dilation
     kh, kw = spec.kernel
@@ -207,16 +182,149 @@ def _conv_transposed(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: C
         if ch or cw:
             out = out[:, :, ch : out.shape[2] - ch or None, cw : out.shape[3] - cw or None]
         parts.append(out)
-    out = np.concatenate(parts, axis=1) if g > 1 else parts[0]
-    if out.shape[2] == 0 or out.shape[3] == 0:
-        raise InvalidSpecError(f"zero-sized output {out.shape} for spec {spec}")
-    add_macs(x.size * cout_g * kh * kw)
-    if b is not None:
+    return np.concatenate(parts, axis=1) if g > 1 else parts[0]
+
+
+def _conv_flat(x: np.ndarray, w: np.ndarray, dilation, padding) -> np.ndarray:
+    """Stride-1 dense or depthwise correlation, accumulated per kernel tap
+    over the flattened padded plane.
+
+    With the padded input flattened to (B, Cin, Hp*Wp), the window of tap
+    (i, j) for every output position is the one contiguous slice starting at
+    i*dh*Wp + j*dw, so each tap is a single GEMM (dense) or broadcast
+    multiply (depthwise, w of shape (C, 1, kh, kw)) into a (B, Cout, Ho*Wp)
+    accumulator whose Wp - Wo pad columns are cropped at the end. Nothing
+    is copied but the one padded input.
+    """
+    kh, kw = w.shape[2:]
+    if kh == 1 < kw:
+        # A kernel along W only runs on the transposed plane, where the
+        # flat layout computes no pad columns.
+        out = _conv_flat(x.transpose(0, 1, 3, 2), w.transpose(0, 1, 3, 2),
+                         dilation[::-1], padding[::-1])
+        return out.transpose(0, 1, 3, 2)
+    b_, cin, h, wid = x.shape
+    cout = w.shape[0]
+    dh, dw = dilation
+    ph, pw = padding
+    hp, wp = h + 2 * ph, wid + 2 * pw
+    ho, wo = hp - dh * (kh - 1), wp - dw * (kw - 1)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else np.ascontiguousarray(x)
+    xf = xp.reshape(b_, cin, hp * wp)
+    if w.shape[1] == 1 and cin == cout:
+        op = np.multiply
+        taps = w.reshape(cout, kh * kw).T[:, :, None]  # (taps, C, 1)
+    else:
+        op = np.matmul
+        taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, cout, cin)
+    offsets = [i * dh * wp + j * dw for i in range(kh) for j in range(kw)]
+    acc = np.empty((b_, cout, ho * wp), dtype=np.result_type(x, w))
+    span = (ho - 1) * wp + wo  # flat extent holding every output position
+    # Column chunks keep the per-tap temporary small and the accumulator
+    # block cache-resident across taps.
+    step = max(1, _TAP_ELEMS // max(1, b_ * cout))
+    tmp = np.empty((b_, cout, min(step, span)), dtype=acc.dtype)
+    for c0 in range(0, span, step):
+        c1 = min(c0 + step, span)
+        dst = acc[:, :, c0:c1]
+        op(taps[0], xf[:, :, offsets[0] + c0 : offsets[0] + c1], out=dst)
+        for tap, off in zip(taps[1:], offsets[1:]):
+            part = tmp[:, :, : c1 - c0]
+            op(tap, xf[:, :, off + c0 : off + c1], out=part)
+            dst += part
+    return acc.reshape(b_, cout, ho, wp)[:, :, :, :wo]
+
+
+def _conv_scatter(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Single-group transposed conv: each tap's GEMM is added into a
+    strided view of the output, with no zero-stuffed input."""
+    b_, cin, h, wid = x.shape
+    cout, (kh, kw) = w.shape[1], spec.kernel
+    sh, sw_ = spec.stride
+    dh, dw = spec.dilation
+    ph, pw = spec.padding
+    ho, wo = conv_out_shape((h, wid), spec)
+    # taps reach (h-1)*sh + dh*(kh-1) + 1 rows; out_pad may reach past them
+    full = np.zeros(
+        (b_, cout, max((h - 1) * sh + dh * (kh - 1) + 1, ph + ho),
+         max((wid - 1) * sw_ + dw * (kw - 1) + 1, pw + wo)),
+        dtype=np.result_type(x, w),
+    )
+    taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(kh * kw, cout, cin)
+    xf = np.ascontiguousarray(x).reshape(b_, cin, h * wid)
+    part = np.empty((b_, cout, h * wid), dtype=full.dtype)
+    for k, tap in enumerate(taps):
+        i, j = divmod(k, kw)
+        np.matmul(tap, xf, out=part)
+        full[:, :, i * dh : i * dh + (h - 1) * sh + 1 : sh,
+             j * dw : j * dw + (wid - 1) * sw_ + 1 : sw_] += part.reshape(b_, cout, h, wid)
+    return full[:, :, ph : ph + ho, pw : pw + wo]
+
+
+def _check_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> int:
+    """Validate the operands of one conv2d call; return its MAC count."""
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d expects a (B, C, H, W) input, got shape {x.shape}")
+    if w.ndim != 4 or w.shape[2:] != tuple(spec.kernel):
+        raise ShapeError(f"weight shape {w.shape} does not match kernel {spec.kernel}")
+    g = spec.groups
+    if spec.transposed:
+        cin, cout_g = w.shape[:2]
+        if x.shape[1] != cin or cin % g:
+            raise ShapeError(
+                f"channels {x.shape[1]} inconsistent with transposed weight {w.shape} and groups {g}"
+            )
         cout = cout_g * g
-        if b.shape != (cout,):
-            raise ShapeError(f"bias shape {b.shape} != ({cout},)")
+    else:
+        cout, cin_g = w.shape[:2]
+        if x.shape[1] != cin_g * g or cout % g:
+            raise ShapeError(
+                f"channels {x.shape[1]} inconsistent with weight {w.shape} and groups {g}"
+            )
+    ho, wo = conv_out_shape(x.shape[2:], spec)
+    if b is not None and b.shape != (cout,):
+        raise ShapeError(f"bias shape {b.shape} != ({cout},)")
+    taps = spec.kernel[0] * spec.kernel[1]
+    if spec.transposed:
+        return x.size * cout_g * taps
+    return x.shape[0] * cout * ho * wo * cin_g * taps
+
+
+def _finish(out: np.ndarray, b: np.ndarray | None, macs: int) -> np.ndarray:
+    add_macs(macs)
+    if b is not None:
         out = out + b.reshape(1, -1, 1, 1)
     return out
+
+
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> np.ndarray:
+    """2-D cross-correlation with stride, dilation, groups and transposition.
+
+    Plain weights have shape (Cout, Cin/groups, kh, kw); transposed
+    weights use (Cin, Cout/groups, kh, kw). Stride-1 dense and depthwise
+    convs accumulate per tap over the flattened padded plane; single-group
+    transposed convs scatter per-tap GEMMs into the output. Strided and
+    other grouped convs take the window path of `conv2d_reference`, which
+    every fast path must match.
+    """
+    macs = _check_conv(x, w, b, spec)
+    g = spec.groups
+    if spec.transposed:
+        out = _conv_scatter(x, w, spec) if g == 1 else _conv_zero_stuffed(x, w, spec)
+    elif tuple(spec.stride) == (1, 1) and (g == 1 or g == x.shape[1] == w.shape[0]):
+        out = _conv_flat(x, w, spec.dilation, spec.padding)
+    else:
+        out = _conv_windows(x, w, spec)
+    return _finish(out, b, macs)
+
+
+def conv2d_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
+                     spec: ConvSpec) -> np.ndarray:
+    """Oracle for `conv2d`: window-view (im2col) contraction per group, and
+    transposed convs on the zero-stuffed input. Same contract and MAC count."""
+    macs = _check_conv(x, w, b, spec)
+    out = _conv_zero_stuffed(x, w, spec) if spec.transposed else _conv_windows(x, w, spec)
+    return _finish(out, b, macs)
 
 
 def conv_out_shape(in_shape: tuple[int, int], spec: ConvSpec) -> tuple[int, int]:
@@ -256,10 +364,11 @@ def normalize(x: np.ndarray, kind: str, gain, shift, eps: float = 1e-5) -> np.nd
         axes = (2, 3)
     else:
         raise InvalidParameterError(f"unknown normalization kind {kind!r}")
-    mu = x.mean(axis=axes, keepdims=True)
-    var = x.var(axis=axes, keepdims=True)
-    y = (x - mu) / np.sqrt(var + eps)
-    return y * _bcast(gain, x.ndim) + _bcast(shift, x.ndim)
+    # one centring pass serves both moments (x.var would centre again)
+    d = x - x.mean(axis=axes, keepdims=True)
+    var = np.square(d).mean(axis=axes, keepdims=True)
+    d /= np.sqrt(var + eps)
+    return d * _bcast(gain, x.ndim) + _bcast(shift, x.ndim)
 
 
 # ---------------------------------------------------------------------------

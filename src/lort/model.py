@@ -24,7 +24,7 @@ from .arrays import (
     same_pad,
     silu,
 )
-from .errors import InvalidParameterError, ShapeError, WeightLookupError
+from .errors import InvalidInputError, InvalidParameterError, ShapeError, WeightLookupError
 from .local_refine import DlcConfig, lrc_block
 from .signal import (
     ComplexSpec,
@@ -459,6 +459,11 @@ class LortModel:
 
     def forward(self, noisy: Waveform, ws: WeightStore,
                 use_noisy_phase: bool = False) -> ForwardResult:
+        if noisy.sample_rate != self.cfg.sample_rate:
+            raise InvalidInputError(
+                f"input sample rate {noisy.sample_rate} Hz does not match the model's "
+                f"sample_rate {self.cfg.sample_rate} Hz"
+            )
         missing = ws.missing(self.param_names())
         if missing:
             raise WeightLookupError(f"weight store incomplete; missing {missing[:8]}"

@@ -6,6 +6,7 @@ dtype tag) followed by a raw little-endian float32 blob.
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -16,6 +17,33 @@ __all__ = ["WeightStore", "WeightView"]
 
 _MAGIC = b"LORTW001"
 _DTYPE_TAG = "f32-le"
+
+
+def _is_index(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _parse_entry(i: int, ent) -> tuple[str, tuple[int, ...], int]:
+    """Validated (name, shape, offset) of manifest entry `i`."""
+    if not isinstance(ent, dict):
+        raise WeightFormatError(f"entry {i}: must be a JSON object, got {type(ent).__name__}")
+    name = ent.get("name")
+    if not isinstance(name, str):
+        raise WeightFormatError(f"entry {i}: field 'name' must be a string, got {name!r}")
+    where = f"entry {i} ({name!r})"
+    if ent.get("dtype") != _DTYPE_TAG:
+        raise WeightFormatError(f"{where}: unsupported dtype tag {ent.get('dtype')!r}")
+    shape = ent.get("shape")
+    if not isinstance(shape, list) or not all(_is_index(n) for n in shape):
+        raise WeightFormatError(
+            f"{where}: field 'shape' must be a list of non-negative integers, got {shape!r}"
+        )
+    off = ent.get("offset")
+    if not _is_index(off):
+        raise WeightFormatError(
+            f"{where}: field 'offset' must be a non-negative integer, got {off!r}"
+        )
+    return name, tuple(shape), off
 
 
 class WeightView:
@@ -95,26 +123,43 @@ class WeightStore:
     def from_bytes(cls, data: bytes) -> "WeightStore":
         if data[: len(_MAGIC)] != _MAGIC:
             raise WeightFormatError("bad magic; not a lort weight file")
+        if len(data) < 16:
+            raise WeightFormatError(f"header truncated: {len(data)} bytes, need 16")
         hlen = int.from_bytes(data[8:16], "little")
+        if 16 + hlen > len(data):
+            raise WeightFormatError(
+                f"manifest truncated: length field says {hlen} bytes, {len(data) - 16} present"
+            )
         try:
             header = json.loads(data[16 : 16 + hlen].decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (ValueError, RecursionError) as e:  # UnicodeDecodeError, JSONDecodeError
             raise WeightFormatError(f"unreadable manifest: {e}") from None
+        if not isinstance(header, dict):
+            raise WeightFormatError(
+                f"manifest must be a JSON object, got {type(header).__name__}"
+            )
+        entries = header.get("entries", [])
+        if not isinstance(entries, list):
+            raise WeightFormatError(
+                f"manifest field 'entries' must be a list, got {type(entries).__name__}"
+            )
         blob = data[16 + hlen :]
         store = cls()
         total = 0
-        for ent in header.get("entries", []):
-            if ent.get("dtype") != _DTYPE_TAG:
-                raise WeightFormatError(f"unsupported dtype tag {ent.get('dtype')!r}")
-            shape = tuple(ent["shape"])
-            size = int(np.prod(shape)) if shape else 1
-            off = int(ent["offset"])
+        for i, ent in enumerate(entries):
+            name, shape, off = _parse_entry(i, ent)
+            if name in store:
+                raise WeightFormatError(f"entry {i}: duplicate name {name!r}")
+            size = math.prod(shape)
             raw = blob[off : off + 4 * size]
             if len(raw) != 4 * size:
                 raise WeightFormatError(
-                    f"blob truncated for {ent['name']!r}: need {4 * size} bytes at {off}"
+                    f"blob truncated for {name!r}: need {4 * size} bytes at {off}"
                 )
-            store[ent["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            try:
+                store[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            except ValueError as e:  # more axes than numpy supports
+                raise WeightFormatError(f"entry {i} ({name!r}): field 'shape': {e}") from None
             total = max(total, off + 4 * size)
         if total != len(blob):
             raise WeightFormatError(

@@ -143,6 +143,19 @@ def test_normalize_gain_shift_and_errors():
         normalize(x, "layer", 1.0, 0.0, eps=0.0)
 
 
+def test_normalize_matches_two_pass_formula():
+    rng = np.random.default_rng(8)
+    for kind, axes in (("layer", (1, 2, 3)), ("instance", (2, 3))):
+        x = rng.standard_normal((2, 3, 7, 5)) * 3 + 1.5
+        gain, shift = rng.standard_normal(3), rng.standard_normal(3)
+        mu = x.mean(axis=axes, keepdims=True)
+        var = x.var(axis=axes, keepdims=True)
+        want = ((x - mu) / np.sqrt(var + 1e-5) * gain.reshape(1, 3, 1, 1)
+                + shift.reshape(1, 3, 1, 1))
+        got = normalize(x, kind, gain, shift)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_activations():
     x = np.linspace(-5, 5, 11)
     s = sigmoid(x)

@@ -85,6 +85,20 @@ def test_malformed_weights_exit_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_enhance_rejects_other_sample_rate(tmp_path, capsys):
+    noisy = tmp_path / "noisy8k.wav"
+    noisy.write_bytes(write_wav(Waveform(np.zeros(4000), sample_rate=8000)))
+    weights = tmp_path / "w.bin"
+    assert run(["init-weights", "--out", str(weights)] + MICRO_ARGS) == 0
+    out = tmp_path / "o.wav"
+    code = run(["enhance", "--in", str(noisy), "--weights", str(weights),
+                "--out", str(out)] + MICRO_ARGS)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "8000 Hz" in err and "16000 Hz" in err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         run(["bench", "--bogus", "1"])

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import init_store
 from lort.arrays import ConvSpec, conv2d
-from lort.errors import InvalidParameterError, WeightLookupError
+from lort.errors import InvalidInputError, InvalidParameterError, WeightLookupError
 from lort.model import (
     Dsdcn,
     ModelConfig,
@@ -52,6 +52,13 @@ def test_forward_output_length_matches_input(n):
     assert np.all(np.isfinite(res.wave.samples))
     assert np.all((res.mask > 0) & (res.mask < 2))
     assert np.all((res.phase > -np.pi) & (res.phase <= np.pi))
+
+
+def test_forward_rejects_other_sample_rate():
+    ws = init_weights(MICRO, seed=0)
+    wf = Waveform(noise(4000).samples, sample_rate=8000)
+    with pytest.raises(InvalidInputError, match="8000 Hz.*16000 Hz"):
+        forward(wf, ws, MICRO)
 
 
 def test_forward_is_deterministic():

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lort.errors import WeightFormatError, WeightLookupError
+from lort.errors import LortError, WeightFormatError, WeightLookupError
 from lort.weights import WeightStore
 
 
@@ -65,3 +67,74 @@ def test_values_stored_as_float64():
     ws = WeightStore()
     ws["x"] = np.array([1, 2, 3], dtype=np.int32)
     assert ws["x"].dtype == np.float64
+
+
+def with_manifest(header) -> bytes:
+    """A container whose manifest is `header` (JSON-encoded), with no blob."""
+    raw = json.dumps(header).encode()
+    return b"LORTW001" + len(raw).to_bytes(8, "little") + raw
+
+
+def entry(**fields):
+    ent = {"name": "w", "shape": [2], "offset": 0, "dtype": "f32-le"}
+    ent.update(fields)
+    return {k: v for k, v in ent.items() if v is not None}
+
+
+@pytest.mark.parametrize("header,match", [
+    ([1, 2], "manifest must be a JSON object"),
+    ({"entries": {"w": 1}}, "'entries' must be a list"),
+    ({"entries": ["w"]}, "entry 0: must be a JSON object"),
+    ({"entries": [entry(name=None)]}, "entry 0: field 'name'"),
+    ({"entries": [entry(shape=None)]}, "entry 0 \\('w'\\): field 'shape'"),
+    ({"entries": [entry(shape=["x"])]}, "entry 0 \\('w'\\): field 'shape'"),
+    ({"entries": [entry(shape=[-2])]}, "field 'shape'"),
+    ({"entries": [entry(shape=2)]}, "field 'shape'"),
+    ({"entries": [entry(offset=-4)]}, "entry 0 \\('w'\\): field 'offset'"),
+    ({"entries": [entry(offset="0")]}, "field 'offset'"),
+    ({"entries": [entry(offset=None)]}, "field 'offset'"),
+    ({"entries": [entry(dtype="f64")]}, "unsupported dtype"),
+    ({"entries": [entry(shape=[1] * 80)]}, "field 'shape'"),
+])
+def test_malformed_manifest_names_entry_and_field(header, match):
+    data = with_manifest(header)
+    if isinstance(header, dict) and isinstance(header.get("entries"), list):
+        data += b"\x00" * 8
+    with pytest.raises(WeightFormatError, match=match):
+        WeightStore.from_bytes(data)
+
+
+def test_duplicate_and_truncated_manifest():
+    with pytest.raises(WeightFormatError, match="duplicate"):
+        WeightStore.from_bytes(with_manifest({"entries": [entry(), entry(offset=8)]})
+                               + b"\x00" * 16)
+    data = make_store().to_bytes()
+    with pytest.raises(WeightFormatError, match="manifest truncated"):
+        WeightStore.from_bytes(data[:40])
+
+
+def try_parse(data: bytes) -> None:
+    """Parse `data`; a LortError is a correct outcome, any other error escapes."""
+    try:
+        WeightStore.from_bytes(data)
+    except LortError:
+        pass
+
+
+def test_fuzz_only_lort_errors_escape():
+    data = make_store().to_bytes()
+    hlen = int.from_bytes(data[8:16], "little")
+    header = json.loads(data[16 : 16 + hlen])
+    blob_cuts = [16 + hlen + e["offset"] for e in header["entries"]]
+    # truncation at every byte of the magic, length field and manifest, and
+    # at every entry boundary of the blob
+    for cut in list(range(16 + hlen + 1)) + blob_cuts:
+        with pytest.raises(WeightFormatError):
+            WeightStore.from_bytes(data[:cut])
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        buf = bytearray(data)
+        # flips land in the manifest mostly: blob flips only change values
+        for pos in rng.integers(0, 16 + hlen + 8, size=rng.integers(1, 4)):
+            buf[pos] = int(rng.integers(0, 256))
+        try_parse(bytes(buf))
