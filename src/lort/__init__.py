@@ -1,9 +1,12 @@
 """Monaural speech enhancement with linear-complexity Taylor attention.
 
-Layers: array kernels (`arrays`), WAV + STFT plumbing (`signal`), the
-attention and locally-refined-convolution blocks (`attention`,
-`local_refine`), the assembled network (`model`), training objectives
-(`objectives`), numeric verification (`verify`), and the CLI (`cli`).
+Modules: array kernels (`arrays`), WAV + STFT plumbing (`signal`), the
+layer primitives that declare and apply their own weights (`layers`:
+`Conv`, `Norm`, `PRelu`, `DenseStack`), the attention and
+locally-refined-convolution blocks (`attention`, `local_refine`), the
+assembled network (`model`), training objectives (`objectives`), the
+weight store (`weights`), numeric verification (`verify`), and the CLI
+(`cli`).
 """
 from .arrays import ConvSpec, FlopMeter, conv2d, lsigmoid, normalize, sigmoid, silu
 from .attention import (
@@ -28,7 +31,7 @@ from .errors import (
     WeightFormatError,
     WeightLookupError,
 )
-from .local_refine import DlcConfig, cfn, dlc, dlc_receptive_field, lrc_block, tf_dlc
+from .local_refine import DlcConfig, Dlc, Lrc, cfn, dlc_receptive_field, lrc_block, tf_dlc
 from .model import (
     ForwardResult,
     ModelConfig,
@@ -74,6 +77,6 @@ from .verify import (
     table2_trend,
     taylor_error_sweep,
 )
-from .weights import WeightStore, WeightView
+from .weights import WeightStore
 
 __version__ = "0.1.0"

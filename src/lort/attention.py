@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ConvSpec, add_macs, conv2d, sigmoid, softmax
+from .arrays import add_macs, sigmoid, softmax
 from .errors import DegenerateAttentionError, ShapeError
 
 __all__ = [
@@ -91,11 +91,12 @@ def taylor_attention(ain: AttentionInput, normalize: bool = True) -> np.ndarray:
     return num / den
 
 
-def msar_correct(ain: AttentionInput, vprime: np.ndarray, params) -> np.ndarray:
+def msar_correct(ain: AttentionInput, vprime: np.ndarray, ws, local, gate) -> np.ndarray:
     """Gated local correction V'' = V' + g * L for the dropped Taylor remainder.
 
-    L is a depthwise 3x3 convolution of V on the t x f grid; the gate g is a
-    sigmoid-activated pointwise convolution of the concatenated Q and K maps.
+    L is the depthwise 3x3 conv `local` of V on the t x f grid; the gate g
+    is the sigmoid of the pointwise conv `gate` of the concatenated Q and K
+    maps. Both convs apply their weights from `ws`.
     """
     t, f = ain.grid
     h, n, dh = ain.v.shape
@@ -105,33 +106,27 @@ def msar_correct(ain: AttentionInput, vprime: np.ndarray, params) -> np.ndarray:
         # (H, N, Dh) -> (1, H*Dh, t, f), head-major channel layout
         return x.transpose(0, 2, 1).reshape(1, c, t, f)
 
-    v_map = to_map(ain.v)
-    local = conv2d(v_map, params["local.w"], params["local.b"],
-                   ConvSpec(kernel=(3, 3), groups=c, padding=(1, 1)))
+    loc = local(ws, to_map(ain.v))
     qk = np.concatenate([to_map(ain.q), to_map(ain.k)], axis=1)
-    gate = sigmoid(conv2d(qk, params["gate.w"], params["gate.b"], ConvSpec(kernel=(1, 1))))
-    corr = (gate * local).reshape(h, dh, n).transpose(0, 2, 1)
+    g = sigmoid(gate(ws, qk))
+    corr = (g * loc).reshape(h, dh, n).transpose(0, 2, 1)
     return vprime + corr
 
 
-def scea(x: np.ndarray, params) -> np.ndarray:
+def scea(x: np.ndarray, ws, ch, sp) -> np.ndarray:
     """Spatial-channel enhancement attention gate.
 
-    Channel branch: global average pool over (T, F), 1-D convolution of
-    kernel 3 across channels, sigmoid. Spatial branch: mean+max pool across
-    channels, 5x5 convolution, sigmoid. Both gates scale the input.
+    Channel branch: global average pool over (T, F), the kernel-3 conv `ch`
+    across channels, sigmoid. Spatial branch: mean+max pool across channels,
+    the 5x5 conv `sp`, sigmoid. Both gates scale the input.
     """
     if x.ndim != 4:
         raise ShapeError(f"scea expects (B, C, T, F), got shape {x.shape}")
     b, c, t, f = x.shape
     pooled = x.mean(axis=(2, 3)).reshape(b, 1, c, 1)
-    ch = conv2d(pooled, params["ch.w"], params["ch.b"],
-                ConvSpec(kernel=(3, 1), padding=(1, 0)))
-    gate_ch = sigmoid(ch).reshape(b, c, 1, 1)
+    gate_ch = sigmoid(ch(ws, pooled)).reshape(b, c, 1, 1)
     sp_in = np.stack([x.mean(axis=1), x.max(axis=1)], axis=1)
-    sp = conv2d(sp_in, params["sp.w"], params["sp.b"],
-                ConvSpec(kernel=(5, 5), padding=(2, 2)))
-    gate_sp = sigmoid(sp)
+    gate_sp = sigmoid(sp(ws, sp_in))
     return x * gate_ch * gate_sp
 
 

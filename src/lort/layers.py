@@ -1,0 +1,95 @@
+"""Layer primitives of the generator (and the discriminator).
+
+Each layer object declares its parameters (`manifest()` yields
+`(name, shape, init kind)` under a dotted name) and applies them
+(`layer(ws, x)` reads exactly those names from a WeightStore), so every
+parameter's name, shape and use are stated in one place.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from .arrays import ConvSpec, conv2d, normalize, prelu, same_pad
+
+__all__ = ["Conv", "Norm", "PRelu", "DenseStack", "manifest_of"]
+
+
+class Conv:
+    def __init__(self, name, cin, cout, kernel, stride=(1, 1), dilation=(1, 1),
+                 groups=1, padding=None, transposed=False, out_pad=(0, 0), init="gauss"):
+        if padding is None:
+            padding = same_pad(kernel, dilation)
+        self.name = name
+        self.cin, self.cout, self.groups = cin, cout, groups
+        self.init = init
+        self.spec = ConvSpec(kernel=kernel, stride=stride, dilation=dilation,
+                             groups=groups, padding=padding, transposed=transposed,
+                             out_pad=out_pad)
+
+    def manifest(self):
+        k = self.spec.kernel
+        if self.spec.transposed:
+            wshape = (self.cin, self.cout // self.groups, *k)
+        else:
+            wshape = (self.cout, self.cin // self.groups, *k)
+        yield (f"{self.name}.w", wshape, self.init)
+        yield (f"{self.name}.b", (self.cout,), "zeros")
+
+    def __call__(self, ws, x):
+        return conv2d(x, ws[f"{self.name}.w"], ws[f"{self.name}.b"], self.spec)
+
+
+class Norm:
+    def __init__(self, name, channels, kind):
+        self.name, self.channels, self.kind = name, channels, kind
+
+    def manifest(self):
+        yield (f"{self.name}.gain", (self.channels,), "ones")
+        yield (f"{self.name}.shift", (self.channels,), "zeros")
+
+    def __call__(self, ws, x):
+        return normalize(x, self.kind, ws[f"{self.name}.gain"], ws[f"{self.name}.shift"])
+
+
+class PRelu:
+    def __init__(self, name, channels):
+        self.name, self.channels = name, channels
+
+    def manifest(self):
+        yield (f"{self.name}.a", (self.channels,), "prelu")
+
+    def __call__(self, ws, x):
+        return prelu(x, ws[f"{self.name}.a"])
+
+
+def manifest_of(*layers):
+    for layer in layers:
+        yield from layer.manifest()
+
+
+class DenseStack:
+    """Densely connected stack. Each layer is a tuple of sub-layers applied
+    in order to the channel concat of the stack input and every earlier
+    layer's output; the last layer's output is returned.
+
+    `use_norm=False` skips the `Norm` sub-layers, so the conv skeleton's
+    impulse response can be measured directly.
+    """
+
+    def __init__(self, layers):
+        self.layers = [tuple(layer) for layer in layers]
+
+    def manifest(self):
+        for layer in self.layers:
+            yield from manifest_of(*layer)
+
+    def __call__(self, ws, x, use_norm=True):
+        feats = [x]
+        z = x
+        for layer in self.layers:
+            z = np.concatenate(feats, axis=1) if len(feats) > 1 else x
+            for sub in layer:
+                if use_norm or not isinstance(sub, Norm):
+                    z = sub(ws, z)
+            feats.append(z)
+        return z

@@ -14,18 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attention as att
-from .arrays import (
-    ConvSpec,
-    FlopMeter,
-    conv2d,
-    lsigmoid,
-    normalize,
-    prelu,
-    same_pad,
-    silu,
-)
+from .arrays import FlopMeter, lsigmoid, silu
 from .errors import InvalidInputError, InvalidParameterError, ShapeError, WeightLookupError
-from .local_refine import DlcConfig, lrc_block
+from .layers import Conv, DenseStack, Norm, PRelu, manifest_of
+from .local_refine import DlcConfig, Lrc, lrc_block
 from .signal import (
     ComplexSpec,
     MagPhase,
@@ -48,9 +40,6 @@ __all__ = [
     "estimate_flops",
     "estimate_macs",
     "forward",
-    "encode",
-    "dsdcn_embed",
-    "lrtt_block",
 ]
 
 LSIGMOID_BETA = 2.0
@@ -64,7 +53,6 @@ class ModelConfig:
     fft_len: int = 510
     win_len: int = 510
     hop: int = 100
-    densenet_depth: int = 4
     densenet_dilations: tuple[int, ...] = (1, 2, 4, 8)
     dlc: DlcConfig = field(default_factory=DlcConfig)
     heads: int = 4
@@ -79,8 +67,6 @@ class ModelConfig:
         if self.channels < 2 or self.channels % 2:
             raise InvalidParameterError(f"channels must be even and >= 2, got {self.channels}")
         dil = self.densenet_dilations
-        if len(dil) != self.densenet_depth:
-            raise InvalidParameterError("densenet_dilations length must equal densenet_depth")
         for a, b in zip(dil, dil[1:]):
             if b <= a:
                 raise InvalidParameterError(f"dilations must be strictly increasing, got {dil}")
@@ -112,62 +98,6 @@ class ForwardResult:
     phase: np.ndarray
 
 
-# ---------------------------------------------------------------------------
-# Layer primitives (declaration + application share one object)
-
-class Conv:
-    def __init__(self, name, cin, cout, kernel, stride=(1, 1), dilation=(1, 1),
-                 groups=1, padding=None, transposed=False, out_pad=(0, 0), init="gauss"):
-        if padding is None:
-            padding = same_pad(kernel, dilation)
-        self.name = name
-        self.cin, self.cout, self.groups = cin, cout, groups
-        self.init = init
-        self.spec = ConvSpec(kernel=kernel, stride=stride, dilation=dilation,
-                             groups=groups, padding=padding, transposed=transposed,
-                             out_pad=out_pad)
-
-    def manifest(self):
-        k = self.spec.kernel
-        if self.spec.transposed:
-            wshape = (self.cin, self.cout // self.groups, *k)
-        else:
-            wshape = (self.cout, self.cin // self.groups, *k)
-        yield (f"{self.name}.w", wshape, self.init)
-        yield (f"{self.name}.b", (self.cout,), "zeros")
-
-    def __call__(self, ws, x):
-        return conv2d(x, ws[f"{self.name}.w"], ws[f"{self.name}.b"], self.spec)
-
-
-class Norm:
-    def __init__(self, name, channels, kind):
-        self.name, self.channels, self.kind = name, channels, kind
-
-    def manifest(self):
-        yield (f"{self.name}.gain", (self.channels,), "ones")
-        yield (f"{self.name}.shift", (self.channels,), "zeros")
-
-    def __call__(self, ws, x):
-        return normalize(x, self.kind, ws[f"{self.name}.gain"], ws[f"{self.name}.shift"])
-
-
-class PRelu:
-    def __init__(self, name, channels):
-        self.name, self.channels = name, channels
-
-    def manifest(self):
-        yield (f"{self.name}.a", (self.channels,), "prelu")
-
-    def __call__(self, ws, x):
-        return prelu(x, ws[f"{self.name}.a"])
-
-
-def _manifest_of(*layers):
-    for layer in layers:
-        yield from layer.manifest()
-
-
 def _fit(x: np.ndarray, t: int, f: int) -> np.ndarray:
     """Crop or zero-pad trailing rows/cols to the target (T, F) extents."""
     x = x[:, :, :t, :f]
@@ -180,46 +110,26 @@ def _fit(x: np.ndarray, t: int, f: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Composites
 
-class DenseNet:
+def dilated_dense(prefix, channels, dilations) -> DenseStack:
     """Densely connected dilated 3x3 convolution stack (C channels kept)."""
-
-    def __init__(self, prefix, channels, depth, dilations):
-        self.layers = []
-        for j in range(depth):
-            d = dilations[j]
-            self.layers.append((
-                Conv(f"{prefix}.layer{j}.conv", channels * (j + 1), channels,
-                     (3, 3), dilation=(d, d)),
-                Norm(f"{prefix}.layer{j}.norm", channels, "instance"),
-                PRelu(f"{prefix}.layer{j}.act", channels),
-            ))
-
-    def manifest(self):
-        for conv, norm, act in self.layers:
-            yield from _manifest_of(conv, norm, act)
-
-    def __call__(self, ws, x, use_norm=True):
-        feats = [x]
-        z = x
-        for conv, norm, act in self.layers:
-            cat = np.concatenate(feats, axis=1) if len(feats) > 1 else feats[0]
-            z = conv(ws, cat)
-            if use_norm:
-                z = norm(ws, z)
-            z = act(ws, z)
-            feats.append(z)
-        return z
+    c = channels
+    return DenseStack(
+        (Conv(f"{prefix}.layer{j}.conv", c * (j + 1), c, (3, 3), dilation=(d, d)),
+         Norm(f"{prefix}.layer{j}.norm", c, "instance"),
+         PRelu(f"{prefix}.layer{j}.act", c))
+        for j, d in enumerate(dilations)
+    )
 
 
 class Encoder:
     def __init__(self, cfg: ModelConfig):
         c = cfg.channels
         self.in_conv = Conv("encoder.in_conv", 2, c, (1, 1))
-        self.dense = DenseNet("encoder.dense", c, cfg.densenet_depth, cfg.densenet_dilations)
+        self.dense = dilated_dense("encoder.dense", c, cfg.densenet_dilations)
         self.down_f = Conv("encoder.down_f", c, c, (1, 3), stride=(1, 2), padding=(0, 1))
 
     def manifest(self):
-        yield from _manifest_of(self.in_conv, self.dense, self.down_f)
+        yield from manifest_of(self.in_conv, self.dense, self.down_f)
 
     def __call__(self, ws, x):
         return self.down_f(ws, self.dense(ws, self.in_conv(ws, x)))
@@ -236,10 +146,9 @@ class Dsdcn:
         self.offset = Conv(f"{prefix}.offset", channels, 2 * k2, (3, 3), init="zeros")
         self.dw = Conv(f"{prefix}.depthwise", channels, channels, (3, 3), groups=channels)
         self.pw = Conv(f"{prefix}.pointwise", channels, channels, (1, 1))
-        self.prefix = prefix
 
     def manifest(self):
-        yield from _manifest_of(self.offset, self.dw, self.pw)
+        yield from manifest_of(self.offset, self.dw, self.pw)
 
     @staticmethod
     def _bilinear(plane: np.ndarray, pt: np.ndarray, pf: np.ndarray) -> np.ndarray:
@@ -264,8 +173,8 @@ class Dsdcn:
         b, c, t, f = x.shape
         k = self.K
         off = self.offset(ws, x).reshape(b, k * k, 2, t, f)
-        wdw = ws[f"{self.prefix}.depthwise.w"]  # (C, 1, 3, 3)
-        bdw = ws[f"{self.prefix}.depthwise.b"]
+        wdw = ws[f"{self.dw.name}.w"]  # (C, 1, 3, 3)
+        bdw = ws[f"{self.dw.name}.b"]
         gt, gf = np.meshgrid(np.arange(t, dtype=np.float64),
                              np.arange(f, dtype=np.float64), indexing="ij")
         out = np.zeros_like(x)
@@ -286,7 +195,7 @@ class Ffn:
         self.project = Conv(f"{prefix}.project", 2 * channels, channels, (1, 1))
 
     def manifest(self):
-        yield from _manifest_of(self.expand, self.project)
+        yield from manifest_of(self.expand, self.project)
 
     def __call__(self, ws, x):
         return self.project(ws, silu(self.expand(ws, x)))
@@ -297,8 +206,7 @@ class Lrtt:
 
     def __init__(self, prefix, cfg: ModelConfig):
         c = cfg.block_channels
-        self.prefix = prefix
-        self.cfg = cfg
+        self.heads = cfg.heads
         self.ln1 = Norm(f"{prefix}.ln1", c, "layer")
         self.ln2 = Norm(f"{prefix}.ln2", c, "layer")
         self.qkv = {n: Conv(f"{prefix}.tmsa.{n}", c, c, (1, 1)) for n in ("q", "k", "v", "out")}
@@ -307,20 +215,19 @@ class Lrtt:
         self.scea_ch = Conv(f"{prefix}.scea.ch", 1, 1, (3, 1), padding=(1, 0))
         self.scea_sp = Conv(f"{prefix}.scea.sp", 2, 1, (5, 5))
         self.ffn = Ffn(f"{prefix}.ffn", c)
-        self.lrc = _LrcParams(f"{prefix}.lrc", c, cfg.dlc)
+        self.lrc = Lrc(f"{prefix}.lrc", c, cfg.dlc)
 
     def manifest(self):
-        yield from _manifest_of(self.ln1, *self.qkv.values(), self.msar_local,
+        yield from manifest_of(self.ln1, *self.qkv.values(), self.msar_local,
                                 self.msar_gate, self.scea_ch, self.scea_sp,
                                 self.ln2, self.ffn, self.lrc)
 
     def _attend(self, ws, y):
         b, c, t, f = y.shape
-        h = self.cfg.heads
+        h = self.heads
         dh = c // h
         qm, km, vm = (self.qkv[n](ws, y) for n in ("q", "k", "v"))
         out = np.empty_like(y)
-        msar = ws.view(f"{self.prefix}.msar")
         for bi in range(b):
             ain = att.AttentionInput(
                 qm[bi].reshape(h, dh, t * f).transpose(0, 2, 1),
@@ -329,57 +236,28 @@ class Lrtt:
                 (t, f),
             )
             vp = att.taylor_attention(ain)
-            vpp = att.msar_correct(ain, vp, msar)
+            vpp = att.msar_correct(ain, vp, ws, self.msar_local, self.msar_gate)
             out[bi] = vpp.transpose(0, 2, 1).reshape(c, t, f)
         return self.qkv["out"](ws, out)
 
     def __call__(self, ws, x):
         y = self.ln1(ws, x)
-        x = x + self._attend(ws, y) + att.scea(y, ws.view(f"{self.prefix}.scea"))
+        x = x + self._attend(ws, y) + att.scea(y, ws, self.scea_ch, self.scea_sp)
         x = x + self.ffn(ws, self.ln2(ws, x))
-        return lrc_block(x, self.cfg.dlc, ws.view(f"{self.prefix}.lrc"))
-
-
-class _LrcParams:
-    """Parameter declarations for a locally refined convolution block."""
-
-    def __init__(self, prefix, channels, dlc_cfg: DlcConfig):
-        c = channels
-        self.children = [
-            Norm(f"{prefix}.cfn.ln", c, "layer"),
-            Conv(f"{prefix}.cfn.pw", c, c, (1, 1)),
-            Conv(f"{prefix}.cfn.dw", c, c, (3, 3), groups=c),
-        ]
-        for axis in ("dlc_t", "dlc_f"):
-            self.children.append(Conv(f"{prefix}.{axis}.pw_in", c, c, (1, 1)))
-            self.children.append(Conv(f"{prefix}.{axis}.pw_out", c, c, (1, 1)))
-            for j in range(1, dlc_cfg.depth + 1):
-                kern = (dlc_cfg.kernel[0], 1) if axis == "dlc_t" else (1, dlc_cfg.kernel[0])
-                d = dlc_cfg.layer_dilation(j)
-                dil = (d, 1) if axis == "dlc_t" else (1, d)
-                base = f"{prefix}.{axis}.layer{j}"
-                self.children += [
-                    Conv(f"{base}.compress", c * j, c, (1, 1)),
-                    Conv(f"{base}.conv", c, c, kern, dilation=dil),
-                    Norm(f"{base}.norm", c, "instance"),
-                    PRelu(f"{base}.act", c),
-                ]
-
-    def manifest(self):
-        yield from _manifest_of(*self.children)
+        return lrc_block(self.lrc, ws, x)
 
 
 class Decoder:
-    """Shared decoder trunk: dilated DenseNet then frequency upsampling."""
+    """Shared decoder trunk: dilated dense stack then frequency upsampling."""
 
     def __init__(self, prefix, cfg: ModelConfig):
         c = cfg.channels
-        self.dense = DenseNet(f"{prefix}.dense", c, cfg.densenet_depth, cfg.densenet_dilations)
+        self.dense = dilated_dense(f"{prefix}.dense", c, cfg.densenet_dilations)
         self.up_f = Conv(f"{prefix}.up_f", c, c, (1, 3), stride=(1, 2),
                          padding=(0, 1), out_pad=(0, 1), transposed=True)
 
     def manifest(self):
-        yield from _manifest_of(self.dense, self.up_f)
+        yield from manifest_of(self.dense, self.up_f)
 
     def __call__(self, ws, x):
         return self.up_f(ws, self.dense(ws, x))
@@ -409,7 +287,7 @@ class PhaseDecoder(Decoder):
 
     def manifest(self):
         yield from super().manifest()
-        yield from _manifest_of(self.out_r, self.out_i)
+        yield from manifest_of(self.out_r, self.out_i)
 
     def phase(self, ws, x, t, f):
         trunk = super().__call__(ws, x)
@@ -432,7 +310,7 @@ class LortModel:
         self.phase_dec = PhaseDecoder(cfg)
 
     def manifest(self):
-        yield from _manifest_of(self.encoder, self.embed, self.down, *self.blocks,
+        yield from manifest_of(self.encoder, self.embed, self.down, *self.blocks,
                                 self.up, self.mag_dec, self.phase_dec)
 
     def param_names(self):
@@ -464,10 +342,15 @@ class LortModel:
                 f"input sample rate {noisy.sample_rate} Hz does not match the model's "
                 f"sample_rate {self.cfg.sample_rate} Hz"
             )
-        missing = ws.missing(self.param_names())
+        manifest = list(self.manifest())
+        missing = ws.missing(name for name, _, _ in manifest)
         if missing:
             raise WeightLookupError(f"weight store incomplete; missing {missing[:8]}"
                                     + ("..." if len(missing) > 8 else ""))
+        for name, shape, _ in manifest:
+            if ws[name].shape != shape:
+                raise ShapeError(f"weight {name!r} has shape {ws[name].shape}; this config "
+                                 f"expects {shape}")
         cfg = self.cfg
         spec = stft(noisy, cfg.fft_len, cfg.win_len, cfg.hop)
         feat, mp = self.features(spec)
@@ -501,7 +384,7 @@ def discriminator_layers(prefix: str = "disc"):
 
 
 def discriminator_manifest(prefix: str = "disc"):
-    yield from _manifest_of(*discriminator_layers(prefix))
+    yield from manifest_of(*discriminator_layers(prefix))
 
 
 # ---------------------------------------------------------------------------
@@ -569,17 +452,3 @@ def forward(noisy: Waveform, ws: WeightStore, cfg: ModelConfig,
             use_noisy_phase: bool = False) -> ForwardResult:
     return build_model(cfg).forward(noisy, ws, use_noisy_phase=use_noisy_phase)
 
-
-# Standalone views of the network stages (thin wrappers over the model).
-
-def encode(x: np.ndarray, ws: WeightStore, cfg: ModelConfig) -> np.ndarray:
-    return Encoder(cfg)(ws, x)
-
-
-def dsdcn_embed(x: np.ndarray, ws: WeightStore, cfg: ModelConfig,
-                prefix: str = "embed") -> np.ndarray:
-    return Dsdcn(prefix, x.shape[1])(ws, x)
-
-
-def lrtt_block(x: np.ndarray, ws: WeightStore, cfg: ModelConfig, i: int) -> np.ndarray:
-    return Lrtt(f"block{i}", cfg)(ws, x)

@@ -265,12 +265,11 @@ def total_loss(l_ri: float, l_mag: float, l_ip: float, l_gd: float, l_iaf: float
 
 
 def evaluate_losses(est: ComplexSpec, ref: ComplexSpec, w: LossWeights | None = None,
-                    disc=None, oracle: QualityOracle | None = None) -> LossReport:
+                    disc=None) -> LossReport:
     """Full report for an (estimate, reference) spectrogram pair.
 
     The adversarial term is included only when discriminator weights are
-    supplied; `oracle` is unused here (it feeds the discriminator's own
-    objective) but accepted for interface symmetry.
+    supplied.
     """
     est_m = np.hypot(est.re, est.im)
     ref_m = np.hypot(ref.re, ref.im)

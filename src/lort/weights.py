@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import WeightFormatError, WeightLookupError
 
-__all__ = ["WeightStore", "WeightView"]
+__all__ = ["WeightStore"]
 
 _MAGIC = b"LORTW001"
 _DTYPE_TAG = "f32-le"
@@ -46,23 +46,6 @@ def _parse_entry(i: int, ent) -> tuple[str, tuple[int, ...], int]:
     return name, tuple(shape), off
 
 
-class WeightView:
-    """Read-only view of a WeightStore under a dotted prefix."""
-
-    def __init__(self, store: "WeightStore", prefix: str) -> None:
-        self._store = store
-        self._prefix = prefix
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._store[f"{self._prefix}.{name}"]
-
-    def __contains__(self, name: str) -> bool:
-        return f"{self._prefix}.{name}" in self._store
-
-    def view(self, prefix: str) -> "WeightView":
-        return WeightView(self._store, f"{self._prefix}.{prefix}")
-
-
 class WeightStore:
     """Ordered mapping from canonical dotted parameter paths to arrays."""
 
@@ -92,9 +75,6 @@ class WeightStore:
 
     def items(self):
         return self._entries.items()
-
-    def view(self, prefix: str) -> WeightView:
-        return WeightView(self, prefix)
 
     @property
     def n_params(self) -> int:

@@ -9,15 +9,14 @@ import numpy.testing as npt
 
 from conftest import init_store, zero_store
 from lort.attention import AttentionInput, count_ops, taylor_attention
-from lort.local_refine import cfn, dlc, lrc_block, tf_dlc
+from lort.local_refine import Lrc, cfn, lrc_block, tf_dlc
 from lort.model import (
-    DenseNet,
     Dsdcn,
+    Lrtt,
     ModelConfig,
-    _LrcParams,
+    dilated_dense,
     forward,
     init_weights,
-    lrtt_block,
     zero_weights,
 )
 from lort.objectives import consistency_project, loss_consistency, loss_phase, total_loss
@@ -135,12 +134,13 @@ def test_criterion_07_residual_skeleton_identity():
     rng = np.random.default_rng(4)
     c = cfg.block_channels
     x = rng.standard_normal((1, c, 10, 9))
-    zeros = zero_store(_LrcParams("lrc", c, cfg.dlc).manifest())
-    npt.assert_array_equal(cfn(x, zeros.view("lrc.cfn")), x)
-    npt.assert_array_equal(dlc(x, cfg.dlc, zeros.view("lrc.dlc_t")), x)
-    npt.assert_array_equal(tf_dlc(x, cfg.dlc, zeros.view("lrc")), x)
-    npt.assert_array_equal(lrc_block(x, cfg.dlc, zeros.view("lrc")), x)
-    npt.assert_array_equal(lrtt_block(x, zero_weights(cfg), cfg, 0), x)
+    lrc = Lrc("lrc", c, cfg.dlc)
+    zeros = zero_store(lrc.manifest())
+    npt.assert_array_equal(cfn(lrc, zeros, x), x)
+    npt.assert_array_equal(lrc.dlc_t(zeros, x), x)
+    npt.assert_array_equal(tf_dlc(lrc, zeros, x), x)
+    npt.assert_array_equal(lrc_block(lrc, zeros, x), x)
+    npt.assert_array_equal(Lrtt("block0", cfg)(zero_weights(cfg), x), x)
 
     layer = Dsdcn("embed", 4)
     ws = init_store(layer.manifest(), seed=5)  # offsets zero-initialized
@@ -157,7 +157,7 @@ def test_criterion_07_residual_skeleton_identity():
 
 def test_criterion_08_receptive_fields():
     cfg = ModelConfig(n_blocks=1, channels=4, fft_len=64, win_len=64, hop=16)
-    dense = DenseNet("dense", 4, cfg.densenet_depth, cfg.densenet_dilations)
+    dense = dilated_dense("dense", 4, cfg.densenet_dilations)
     ws = init_store(dense.manifest(), seed=6)  # biases stay zero
     x = np.zeros((1, 4, 65, 65))
     x[0, :, 32, 32] = 1.0
@@ -171,10 +171,11 @@ def test_criterion_08_receptive_fields():
     assert t_support == 31 and f_support == 31
 
     c = cfg.block_channels
-    lrc = init_store(_LrcParams("lrc", c, cfg.dlc).manifest(), seed=7)
+    lrc = Lrc("lrc", c, cfg.dlc)
+    ws_lrc = init_store(lrc.manifest(), seed=7)
     xi = np.zeros((1, c, 128, 3))
     xi[0, :, 64, 1] = 1.0
-    resid = dlc(xi, cfg.dlc, lrc.view("lrc.dlc_t"), use_norm=False) - xi
+    resid = lrc.dlc_t(ws_lrc, xi, use_norm=False) - xi
     d_support = extent(np.any(np.abs(resid) > 0, axis=(0, 1, 3)))
     assert d_support == 109
     print(f"PASS criterion 8: impulse supports 31 (encoder stack) and "

@@ -11,6 +11,7 @@ from lort.attention import (
     taylor_attention,
 )
 from lort.errors import DegenerateAttentionError, ShapeError
+from lort.layers import Conv
 from lort.verify import taylor_reference
 from lort.weights import WeightStore
 
@@ -74,19 +75,19 @@ def msar_params(c, seed=None):
         ws["m.local.b"] = rng.standard_normal(c)
         ws["m.gate.w"] = rng.standard_normal((c, 2 * c, 1, 1))
         ws["m.gate.b"] = rng.standard_normal(c)
-    return ws.view("m")
+    return ws, Conv("m.local", c, c, (3, 3), groups=c), Conv("m.gate", 2 * c, c, (1, 1))
 
 
 def test_msar_zero_params_is_identity_on_vprime():
     ain = random_input(seed=3)
     vp = taylor_attention(ain)
-    npt.assert_array_equal(msar_correct(ain, vp, msar_params(2 * 6)), vp)
+    npt.assert_array_equal(msar_correct(ain, vp, *msar_params(2 * 6)), vp)
 
 
 def test_msar_correction_is_bounded_by_local_branch():
     ain = random_input(seed=4)
     vp = taylor_attention(ain)
-    out = msar_correct(ain, vp, msar_params(2 * 6, seed=5))
+    out = msar_correct(ain, vp, *msar_params(2 * 6, seed=5))
     assert out.shape == vp.shape
     assert np.all(np.isfinite(out))
     assert not np.allclose(out, vp)
@@ -99,17 +100,17 @@ def scea_params(c, seed=0):
     ws["s.ch.b"] = rng.standard_normal(1)
     ws["s.sp.w"] = rng.standard_normal((1, 2, 5, 5))
     ws["s.sp.b"] = rng.standard_normal(1)
-    return ws.view("s")
+    return ws, Conv("s.ch", 1, 1, (3, 1), padding=(1, 0)), Conv("s.sp", 2, 1, (5, 5))
 
 
 def test_scea_gates_shrink_the_input():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((2, 8, 5, 7))
-    out = scea(x, scea_params(8))
+    out = scea(x, *scea_params(8))
     assert out.shape == x.shape
     assert np.all(np.abs(out) <= np.abs(x) + 1e-12)  # both gates are in (0,1)
     with pytest.raises(ShapeError):
-        scea(x[0], scea_params(8))
+        scea(x[0], *scea_params(8))
 
 
 def test_count_ops_closed_forms():

@@ -99,6 +99,20 @@ def test_enhance_rejects_other_sample_rate(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_enhance_rejects_weights_of_another_config(tmp_path, capsys):
+    noisy = tmp_path / "noisy.wav"
+    write_noise(noisy)
+    weights = tmp_path / "w.bin"
+    assert run(["init-weights", "--out", str(weights)]) == 0  # channels 16
+    out = tmp_path / "o.wav"
+    code = run(["enhance", "--in", str(noisy), "--weights", str(weights),
+                "--out", str(out), "--channels", "4"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'encoder.in_conv.w'" in err and "(16, 2, 1, 1)" in err and "(4, 2, 1, 1)" in err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         run(["bench", "--bogus", "1"])

@@ -4,50 +4,49 @@ import pytest
 
 from conftest import init_store, zero_store
 from lort.errors import InvalidSpecError
-from lort.local_refine import DlcConfig, cfn, dlc, dlc_receptive_field, lrc_block, tf_dlc
-from lort.model import _LrcParams
+from lort.local_refine import DlcConfig, Lrc, cfn, dlc_receptive_field, lrc_block, tf_dlc
 
 
 C = 6
+LRC = Lrc("lrc", C, DlcConfig())
 
 
 def lrc_manifest():
-    return list(_LrcParams("lrc", C, DlcConfig()).manifest())
+    return list(LRC.manifest())
 
 
 def test_dlc_config_validation():
     with pytest.raises(InvalidSpecError):
         DlcConfig(depth=0)
     with pytest.raises(InvalidSpecError):
-        DlcConfig(kernel=(18, 1))
+        DlcConfig(kernel=18)
     with pytest.raises(InvalidSpecError):
-        DlcConfig(axis="diag")
+        DlcConfig(kernel=(19, 1))
     cfg = DlcConfig()
     assert (cfg.layer_dilation(1), cfg.layer_dilation(2)) == (2, 4)
 
 
 def test_receptive_field_closed_form():
     assert dlc_receptive_field(DlcConfig()) == 1 + 18 * (2 + 4)
-    assert dlc_receptive_field(DlcConfig(depth=3, dilation_base=1, kernel=(3, 1))) == 7
+    assert dlc_receptive_field(DlcConfig(depth=3, dilation_base=1, kernel=3)) == 7
 
 
 def test_zero_weights_make_each_piece_identity():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((1, C, 12, 10))
     ws = zero_store(lrc_manifest())
-    cfg = DlcConfig()
-    npt.assert_array_equal(cfn(x, ws.view("lrc.cfn")), x)
-    npt.assert_array_equal(dlc(x, cfg, ws.view("lrc.dlc_t")), x)
-    npt.assert_array_equal(tf_dlc(x, cfg, ws.view("lrc")), x)
-    npt.assert_array_equal(lrc_block(x, cfg, ws.view("lrc")), x)
+    npt.assert_array_equal(cfn(LRC, ws, x), x)
+    npt.assert_array_equal(LRC.dlc_t(ws, x), x)
+    npt.assert_array_equal(tf_dlc(LRC, ws, x), x)
+    npt.assert_array_equal(lrc_block(LRC, ws, x), x)
 
 
 def test_lrc_block_interpolates_between_input_and_value():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((1, C, 16, 9))
     ws = init_store(lrc_manifest(), seed=2)
-    out = lrc_block(x, DlcConfig(), ws.view("lrc"))
-    value = tf_dlc(x, DlcConfig(), ws.view("lrc"))
+    out = lrc_block(LRC, ws, x)
+    value = tf_dlc(LRC, ws, x)
     lo = np.minimum(x, value) - 1e-12
     hi = np.maximum(x, value) + 1e-12
     assert np.all((out >= lo) & (out <= hi))
@@ -60,9 +59,8 @@ def test_time_dlc_is_frequency_permutation_equivariant():
     x = rng.standard_normal((1, C, 20, 7))
     ws = init_store(lrc_manifest(), seed=4)
     perm = rng.permutation(7)
-    cfg = DlcConfig(axis="time")
-    a = dlc(x[:, :, :, perm], cfg, ws.view("lrc.dlc_t"))
-    b = dlc(x, cfg, ws.view("lrc.dlc_t"))[:, :, :, perm]
+    a = LRC.dlc_t(ws, x[:, :, :, perm])
+    b = LRC.dlc_t(ws, x)[:, :, :, perm]
     npt.assert_allclose(a, b, atol=1e-12)
 
 
@@ -70,9 +68,9 @@ def test_shapes_preserved_with_random_weights():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, C, 24, 11))
     ws = init_store(lrc_manifest(), seed=6)
-    for fn in (lambda z: cfn(z, ws.view("lrc.cfn")),
-               lambda z: tf_dlc(z, DlcConfig(), ws.view("lrc")),
-               lambda z: lrc_block(z, DlcConfig(), ws.view("lrc"))):
+    for fn in (lambda z: cfn(LRC, ws, z),
+               lambda z: tf_dlc(LRC, ws, z),
+               lambda z: lrc_block(LRC, ws, z)):
         out = fn(x)
         assert out.shape == x.shape
         assert np.all(np.isfinite(out))

@@ -1,23 +1,27 @@
+import hashlib
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import init_store
 from lort.arrays import ConvSpec, conv2d
-from lort.errors import InvalidInputError, InvalidParameterError, WeightLookupError
+from lort.errors import InvalidInputError, InvalidParameterError, ShapeError, WeightLookupError
 from lort.model import (
     Dsdcn,
+    Encoder,
+    Lrtt,
     ModelConfig,
     build_model,
     count_params,
-    dsdcn_embed,
-    encode,
+    discriminator_manifest,
     estimate_flops,
     forward,
     init_weights,
-    lrtt_block,
     zero_weights,
 )
+from lort.verify import micro_config
 from lort.signal import Waveform, snr_db
 from lort.weights import WeightStore
 
@@ -35,11 +39,9 @@ def test_config_validation():
     with pytest.raises(InvalidParameterError):
         ModelConfig(channels=3)
     with pytest.raises(InvalidParameterError):
-        ModelConfig(densenet_dilations=(1, 2, 4))  # length != depth
+        ModelConfig(densenet_dilations=(1, 2, 4, 6))
     with pytest.raises(InvalidParameterError):
-        ModelConfig(densenet_depth=4, densenet_dilations=(1, 2, 4, 6))
-    with pytest.raises(InvalidParameterError):
-        ModelConfig(densenet_depth=4, densenet_dilations=(1, 2, 8, 4))
+        ModelConfig(densenet_dilations=(1, 2, 8, 4))
     cfg = ModelConfig()
     assert cfg.freq_bins == 256 and cfg.enc_bins == 128 and cfg.block_channels == 48
 
@@ -89,6 +91,13 @@ def test_missing_weights_raise_lookup_error():
         forward(noise(4000), partial, MICRO)
 
 
+def test_forward_rejects_weights_of_another_config():
+    # every name exists, but the convs were built for 8 channels, not 4
+    ws = init_weights(ModelConfig(n_blocks=1, channels=8, fft_len=64, win_len=64, hop=16))
+    with pytest.raises(ShapeError, match=r"'encoder\.in_conv\.w'.*\(8, 2, 1, 1\).*\(4, 2, 1, 1\)"):
+        forward(noise(4000), ws, MICRO)
+
+
 def test_weight_file_roundtrip_preserves_forward(tmp_path):
     ws = init_weights(MICRO, seed=4)
     path = tmp_path / "w.bin"
@@ -130,23 +139,23 @@ def test_dsdcn_nonzero_offsets_change_the_output():
     assert np.all(np.isfinite(got))
 
 
-def test_stage_wrappers_shapes():
+def test_stage_layers_shapes():
     ws = init_weights(MICRO, seed=11)
     rng = np.random.default_rng(12)
     feat = rng.standard_normal((1, 2, 20, MICRO.freq_bins))
-    enc = encode(feat, ws, MICRO)
+    enc = Encoder(MICRO)(ws, feat)
     assert enc.shape == (1, MICRO.channels, 20, MICRO.enc_bins)
-    emb = dsdcn_embed(enc, ws, MICRO)
+    emb = Dsdcn("embed", MICRO.channels)(ws, enc)
     assert emb.shape == enc.shape
     xb = rng.standard_normal((1, MICRO.block_channels, 10, 8))
-    out = lrtt_block(xb, ws, MICRO, 0)
+    out = Lrtt("block0", MICRO)(ws, xb)
     assert out.shape == xb.shape
 
 
 def test_lrtt_block_zero_weights_is_identity():
     ws = zero_weights(MICRO)
     x = np.random.default_rng(13).standard_normal((1, MICRO.block_channels, 8, 9))
-    npt.assert_array_equal(lrtt_block(x, ws, MICRO, 0), x)
+    npt.assert_array_equal(Lrtt("block0", MICRO)(ws, x), x)
 
 
 def test_count_params_matches_store_and_is_monotone():
@@ -165,3 +174,27 @@ def test_estimate_flops_grows_with_duration():
 def test_manifest_names_are_unique():
     names = [n for n, _, _ in build_model(MICRO).manifest()]
     assert len(names) == len(set(names))
+
+
+# sha256 of the "name shape init" manifest lines, recorded before the layers
+# were folded into declare-and-apply objects; any rename, reshape, reorder or
+# init change of a parameter changes it.
+MANIFEST_SHA256 = {
+    "reference": "d42a78002d7e9005adb5172cef326ad449f307d1125c0cf45490c6a97ec28a11",
+    "micro": "2b8dc0ceb81e8a83ae7b4dcc2022a2aff728fd12aea55ea1869ab54fa493b216",
+    "disc": "7719d5a62440373b746de37a3a9efb130b9e08bc0d9db9b275f0835857cd7034",
+}
+
+
+def manifest_sha256(manifest):
+    lines = "".join(f"{n} {'x'.join(map(str, s))} {k}\n" for n, s, k in manifest)
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+def test_manifest_fingerprints_are_pinned():
+    ref = list(build_model(ModelConfig()).manifest())
+    assert len(ref) == 349
+    assert sum(math.prod(shape) for _, shape, _ in ref) == 987_345
+    assert manifest_sha256(ref) == MANIFEST_SHA256["reference"]
+    assert manifest_sha256(build_model(micro_config()).manifest()) == MANIFEST_SHA256["micro"]
+    assert manifest_sha256(discriminator_manifest()) == MANIFEST_SHA256["disc"]

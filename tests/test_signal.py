@@ -4,6 +4,7 @@ import pytest
 
 from lort.errors import (
     InvalidInputError,
+    LortError,
     NonInvertibleWindowError,
     WavParseError,
 )
@@ -60,6 +61,29 @@ def test_wav_parse_errors_name_the_field():
         read_wav(bytes(eight))
     with pytest.raises(WavParseError, match="truncated"):
         read_wav(good[:-10])
+
+
+def try_read_wav(data: bytes) -> None:
+    """Parse `data`; a LortError is a correct outcome, any other error escapes."""
+    try:
+        read_wav(data)
+    except LortError:
+        pass
+
+
+def test_wav_fuzz_only_lort_errors_escape():
+    data = write_wav(make_noise(32, seed=3))
+    # every proper prefix cuts into a declared chunk
+    for cut in range(len(data)):
+        with pytest.raises(LortError):
+            read_wav(data[:cut])
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        buf = bytearray(data)
+        # flips land in the 44-byte header mostly: sample flips only change values
+        for pos in rng.integers(0, 52, size=rng.integers(1, 4)):
+            buf[pos] = int(rng.integers(0, 256))
+        try_read_wav(bytes(buf))
 
 
 def test_waveform_validation():
