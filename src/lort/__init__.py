@@ -1,8 +1,9 @@
 """Monaural speech enhancement with linear-complexity Taylor attention.
 
 Modules: array kernels (`arrays`), WAV + STFT plumbing (`signal`), the
-layer primitives that declare and apply their own weights (`layers`:
-`Conv`, `Norm`, `PRelu`, `DenseStack`), the attention and
+layer primitives that declare and apply their own weights, and the one
+weight initializer (`layers`: `Conv`, `Norm`, `PRelu`, `DenseStack`,
+`init_store`), the attention and
 locally-refined-convolution blocks (`attention`, `local_refine`), the
 assembled network (`model`), training objectives (`objectives`), the
 weight store (`weights`), numeric verification (`verify`), and the CLI
@@ -44,7 +45,6 @@ from .model import (
 from .objectives import (
     LossReport,
     LossWeights,
-    QualityOracle,
     SegmentalSnrOracle,
     anti_wrap,
     evaluate_losses,

@@ -27,17 +27,17 @@ from .weights import WeightStore
 __all__ = ["main", "run"]
 
 
+_MODEL_FIELDS = ("n_blocks", "channels", "fft_len", "win_len", "hop")
+
+
 def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-blocks", type=int, default=4)
-    p.add_argument("--channels", type=int, default=16)
-    p.add_argument("--fft-len", type=int, default=510)
-    p.add_argument("--win-len", type=int, default=510)
-    p.add_argument("--hop", type=int, default=100)
+    defaults = ModelConfig()
+    for name in _MODEL_FIELDS:
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(defaults, name))
 
 
 def _cfg_from(args) -> ModelConfig:
-    return ModelConfig(n_blocks=args.n_blocks, channels=args.channels,
-                       fft_len=args.fft_len, win_len=args.win_len, hop=args.hop)
+    return ModelConfig(**{name: getattr(args, name) for name in _MODEL_FIELDS})
 
 
 def _build_parser() -> argparse.ArgumentParser:

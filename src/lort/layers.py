@@ -1,17 +1,22 @@
-"""Layer primitives of the generator (and the discriminator).
+"""Layer primitives of the generator and the discriminator.
 
 Each layer object declares its parameters (`manifest()` yields
 `(name, shape, init kind)` under a dotted name) and applies them
 (`layer(ws, x)` reads exactly those names from a WeightStore), so every
-parameter's name, shape and use are stated in one place.
+parameter's name, shape and use are stated in one place; `init_store`
+fills any weight set from such a manifest.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .arrays import ConvSpec, conv2d, normalize, prelu, same_pad
+from .errors import InvalidParameterError
+from .weights import WeightStore
 
-__all__ = ["Conv", "Norm", "PRelu", "DenseStack", "manifest_of"]
+__all__ = ["Conv", "Norm", "PRelu", "DenseStack", "manifest_of", "init_store", "zero_store"]
+
+INIT_STD = 0.02
 
 
 class Conv:
@@ -93,3 +98,30 @@ class DenseStack:
                     z = sub(ws, z)
             feats.append(z)
         return z
+
+
+def init_store(manifest, seed=0, store=None) -> WeightStore:
+    """Fill `store` (a new one if None) from a manifest, drawing the "gauss"
+    tensors in manifest order from one generator seeded with `seed`."""
+    rng = np.random.default_rng(seed)
+    store = WeightStore() if store is None else store
+    for name, shape, kind in manifest:
+        if kind == "gauss":
+            store[name] = rng.normal(0.0, INIT_STD, size=shape)
+        elif kind == "zeros":
+            store[name] = np.zeros(shape)
+        elif kind == "ones":
+            store[name] = np.ones(shape)
+        elif kind == "prelu":
+            store[name] = np.full(shape, 0.25)
+        else:
+            raise InvalidParameterError(f"unknown init kind {kind!r}")
+    return store
+
+
+def zero_store(manifest) -> WeightStore:
+    """All-zero tensors (norm gains included) for every manifest entry."""
+    store = WeightStore()
+    for name, shape, _ in manifest:
+        store[name] = np.zeros(shape)
+    return store

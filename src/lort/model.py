@@ -1,6 +1,7 @@
 """Full enhancement network: feature encoder, deformable embedding,
 locally refined Taylor transformer stack with one U-resampling level,
-magnitude and phase decoders, and end-to-end waveform enhancement.
+magnitude and phase decoders, end-to-end waveform enhancement, and the
+metric critic of the adversarial loss terms.
 
 All learnable parameters live in a WeightStore under canonical dotted
 paths; the same layer objects drive initialization, parameter counting,
@@ -16,23 +17,16 @@ import numpy as np
 from . import attention as att
 from .arrays import FlopMeter, lsigmoid, silu
 from .errors import InvalidInputError, InvalidParameterError, ShapeError, WeightLookupError
-from .layers import Conv, DenseStack, Norm, PRelu, manifest_of
+from .layers import Conv, DenseStack, Norm, PRelu, init_store, manifest_of, zero_store
 from .local_refine import DlcConfig, Lrc, lrc_block
-from .signal import (
-    ComplexSpec,
-    MagPhase,
-    Waveform,
-    compress_magnitude,
-    decompose,
-    istft,
-    stft,
-)
+from .signal import ComplexSpec, MagPhase, Waveform, decompose, istft, stft
 from .weights import WeightStore
 
 __all__ = [
     "ModelConfig",
     "ForwardResult",
     "LortModel",
+    "Discriminator",
     "build_model",
     "init_weights",
     "init_discriminator",
@@ -43,7 +37,6 @@ __all__ = [
 ]
 
 LSIGMOID_BETA = 2.0
-INIT_STD = 0.02
 
 
 @dataclass(frozen=True)
@@ -58,7 +51,6 @@ class ModelConfig:
     heads: int = 4
     block_channel_mult: int = 3
     loss_weights: tuple[float, float, float, float, float] = (0.1, 0.9, 0.3, 0.1, 0.05)
-    mag_compression: float = 1.0
     sample_rate: int = 16000
 
     def __post_init__(self) -> None:
@@ -70,6 +62,8 @@ class ModelConfig:
         for a, b in zip(dil, dil[1:]):
             if b <= a:
                 raise InvalidParameterError(f"dilations must be strictly increasing, got {dil}")
+        if any(d < 1 for d in dil):
+            raise InvalidParameterError(f"densenet_dilations must be >= 1, got {dil}")
         if any(d & (d - 1) for d in dil):
             raise InvalidParameterError(f"dilations must be powers of two, got {dil}")
         if self.block_channels % self.heads:
@@ -105,6 +99,10 @@ def _fit(x: np.ndarray, t: int, f: int) -> np.ndarray:
     if pt or pf:
         x = np.pad(x, ((0, 0), (0, 0), (0, pt), (0, pf)))
     return x
+
+
+def _first8(names) -> str:
+    return f"{names[:8]}" + ("..." if len(names) > 8 else "")
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +318,7 @@ class LortModel:
 
     def features(self, spec: ComplexSpec) -> tuple[np.ndarray, MagPhase]:
         mp = decompose(spec)
-        mag = compress_magnitude(mp.mag, self.cfg.mag_compression)
-        return np.stack([mag, mp.phase])[None], mp
+        return np.stack([mp.mag, mp.phase])[None], mp
 
     def trunk(self, ws, feat: np.ndarray) -> np.ndarray:
         """Encoder through transformer stack back to (B, C, T, enc_bins)."""
@@ -345,8 +342,14 @@ class LortModel:
         manifest = list(self.manifest())
         missing = ws.missing(name for name, _, _ in manifest)
         if missing:
-            raise WeightLookupError(f"weight store incomplete; missing {missing[:8]}"
-                                    + ("..." if len(missing) > 8 else ""))
+            raise WeightLookupError(f"weight store incomplete; missing {_first8(missing)}")
+        # a store may also hold the critic, as `lort init-weights` writes it
+        known = {name for name, _, _ in manifest}
+        known.update(name for name, _, _ in Discriminator().manifest())
+        unknown = [name for name in ws if name not in known]
+        if unknown:
+            raise WeightLookupError(f"weight store holds tensors no layer of this config "
+                                    f"declares: {_first8(unknown)}")
         for name, shape, _ in manifest:
             if ws[name].shape != shape:
                 raise ShapeError(f"weight {name!r} has shape {ws[name].shape}; this config "
@@ -366,25 +369,29 @@ class LortModel:
         return ForwardResult(wave=wave, spec=out_spec, mask=mask, phase=phase)
 
 
-# ---------------------------------------------------------------------------
-# Discriminator parameter declarations (applied in objectives.discriminate)
+class Discriminator:
+    """Metric critic: four strided conv/norm/PReLU blocks over the stacked
+    (reference, estimate) magnitudes, mean-pooled into a 1x1 conv head."""
 
-def discriminator_layers(prefix: str = "disc"):
-    chans = [2, 16, 32, 32, 32]
-    layers = []
-    for j in range(4):
-        layers += [
-            Conv(f"{prefix}.block{j}.conv", chans[j], chans[j + 1], (3, 3),
-                 stride=(2, 2), padding=(1, 1)),
-            Norm(f"{prefix}.block{j}.norm", chans[j + 1], "instance"),
-            PRelu(f"{prefix}.block{j}.act", chans[j + 1]),
+    def __init__(self):
+        chans = (2, 16, 32, 32, 32)
+        self.layers = [
+            layer for j in range(4) for layer in (
+                Conv(f"disc.block{j}.conv", chans[j], chans[j + 1], (3, 3),
+                     stride=(2, 2), padding=(1, 1)),
+                Norm(f"disc.block{j}.norm", chans[j + 1], "instance"),
+                PRelu(f"disc.block{j}.act", chans[j + 1]))
         ]
-    layers.append(Conv(f"{prefix}.head", chans[-1], 1, (1, 1)))
-    return layers
+        self.head = Conv("disc.head", chans[-1], 1, (1, 1))
 
+    def manifest(self):
+        yield from manifest_of(*self.layers, self.head)
 
-def discriminator_manifest(prefix: str = "disc"):
-    yield from manifest_of(*discriminator_layers(prefix))
+    def __call__(self, ws, x):
+        """Logit per batch item of x, shaped (B, 2, T, F)."""
+        for layer in self.layers:
+            x = layer(ws, x)
+        return self.head(ws, x.mean(axis=(2, 3), keepdims=True))[:, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -394,38 +401,19 @@ def build_model(cfg: ModelConfig) -> LortModel:
     return LortModel(cfg)
 
 
-def _init_into(store: WeightStore, manifest, rng: np.random.Generator) -> WeightStore:
-    for name, shape, kind in manifest:
-        if kind == "gauss":
-            store[name] = rng.normal(0.0, INIT_STD, size=shape)
-        elif kind == "zeros":
-            store[name] = np.zeros(shape)
-        elif kind == "ones":
-            store[name] = np.ones(shape)
-        elif kind == "prelu":
-            store[name] = np.full(shape, 0.25)
-        else:
-            raise InvalidParameterError(f"unknown init kind {kind!r}")
-    return store
-
-
 def init_weights(cfg: ModelConfig, seed: int = 0) -> WeightStore:
     """Freshly initialized generator weights (Gaussian convs, inert offsets)."""
-    rng = np.random.default_rng(seed)
-    return _init_into(WeightStore(), build_model(cfg).manifest(), rng)
+    return init_store(build_model(cfg).manifest(), seed)
 
 
-def init_discriminator(store: WeightStore, seed: int = 0, prefix: str = "disc") -> WeightStore:
-    rng = np.random.default_rng(seed)
-    return _init_into(store, discriminator_manifest(prefix), rng)
+def init_discriminator(store: WeightStore, seed: int = 0) -> WeightStore:
+    """Add freshly initialized critic weights to `store`."""
+    return init_store(Discriminator().manifest(), seed, store)
 
 
 def zero_weights(cfg: ModelConfig) -> WeightStore:
     """All-zero parameterization (norm gains included), for skeleton tests."""
-    store = WeightStore()
-    for name, shape, _ in build_model(cfg).manifest():
-        store[name] = np.zeros(shape)
-    return store
+    return zero_store(build_model(cfg).manifest())
 
 
 def count_params(cfg: ModelConfig) -> int:

@@ -11,13 +11,12 @@ import numpy as np
 
 from .arrays import sigmoid
 from .errors import InvalidParameterError, ShapeError
-from .model import discriminator_layers
+from .model import Discriminator
 from .signal import ComplexSpec, Waveform, default_out_len, istft, stft
 
 __all__ = [
     "LossWeights",
     "LossReport",
-    "QualityOracle",
     "SegmentalSnrOracle",
     "loss_ri",
     "grad_ri",
@@ -188,15 +187,8 @@ def grad_consistency(est: ComplexSpec) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Quality oracle and metric-adversarial pair
 
-class QualityOracle:
-    """Scoring interface mapping (reference, estimate) waveforms to [0, 1]."""
-
-    def __call__(self, reference: Waveform, estimate: Waveform) -> float:
-        raise NotImplementedError
-
-
 @dataclass
-class SegmentalSnrOracle(QualityOracle):
+class SegmentalSnrOracle:
     """Perceptual-quality proxy from mean segmental SNR over 32 ms frames.
 
     Per-frame SNR in dB is clamped to [-10, 35]; the mean maps affinely to
@@ -226,29 +218,24 @@ class SegmentalSnrOracle(QualityOracle):
         return float(np.clip((ssnr - self.floor_db) / 30.0, 0.0, 1.0))
 
 
-def discriminate(ref_m: np.ndarray, est_m: np.ndarray, ws, prefix: str = "disc") -> float:
+def discriminate(ref_m: np.ndarray, est_m: np.ndarray, ws) -> float:
     """Score the (reference, estimate) magnitude pair with the conv critic."""
     _check_planes(ref_m, est_m)
     if np.any(ref_m < 0) or np.any(est_m < 0):
         raise InvalidParameterError("discriminator inputs are magnitudes; must be >= 0")
     x = np.stack([ref_m, est_m])[None]
-    layers = discriminator_layers(prefix)
-    for layer in layers[:-1]:
-        x = layer(ws, x)
-    pooled = x.mean(axis=(2, 3), keepdims=True)
-    logit = layers[-1](ws, pooled)
-    return float(sigmoid(logit[0, 0, 0, 0]))
+    return float(sigmoid(Discriminator()(ws, x)[0]))
 
 
-def loss_g(ref_m: np.ndarray, est_m: np.ndarray, ws, prefix: str = "disc") -> float:
-    return (discriminate(ref_m, est_m, ws, prefix) - 1.0) ** 2
+def loss_g(ref_m: np.ndarray, est_m: np.ndarray, ws) -> float:
+    return (discriminate(ref_m, est_m, ws) - 1.0) ** 2
 
 
-def loss_d(ref_m: np.ndarray, est_m: np.ndarray, q: float, ws, prefix: str = "disc") -> float:
+def loss_d(ref_m: np.ndarray, est_m: np.ndarray, q: float, ws) -> float:
     if not (0.0 <= q <= 1.0):
         raise InvalidParameterError(f"quality score must lie in [0, 1], got {q}")
-    return ((discriminate(ref_m, ref_m, ws, prefix) - 1.0) ** 2
-            + (discriminate(ref_m, est_m, ws, prefix) - q) ** 2)
+    return ((discriminate(ref_m, ref_m, ws) - 1.0) ** 2
+            + (discriminate(ref_m, est_m, ws) - q) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ __all__ = [
     "istft",
     "decompose",
     "recompose",
-    "compress_magnitude",
     "snr_db",
 ]
 
@@ -82,9 +81,6 @@ class ComplexSpec:
 
     def complex(self) -> np.ndarray:
         return self.re + 1j * self.im
-
-    def scaled(self, s: float) -> "ComplexSpec":
-        return ComplexSpec(self.re * s, self.im * s, self.fft_len, self.win_len, self.hop, self.window)
 
 
 @dataclass
@@ -257,13 +253,6 @@ def recompose(mp: MagPhase) -> ComplexSpec:
         mp.hop,
         mp.window,
     )
-
-
-def compress_magnitude(mag: np.ndarray, power: float = 1.0) -> np.ndarray:
-    """Optional power-law magnitude compression hook (1.0 = identity)."""
-    if power == 1.0:
-        return mag
-    return np.power(mag, power)
 
 
 def snr_db(ref: np.ndarray, est: np.ndarray) -> float:

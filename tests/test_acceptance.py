@@ -7,8 +7,8 @@ import time
 import numpy as np
 import numpy.testing as npt
 
-from conftest import init_store, zero_store
 from lort.attention import AttentionInput, count_ops, taylor_attention
+from lort.layers import init_store, zero_store
 from lort.local_refine import Lrc, cfn, lrc_block, tf_dlc
 from lort.model import (
     Dsdcn,

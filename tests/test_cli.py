@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lort.cli import run
+from lort.cli import _build_parser, _cfg_from, run
+from lort.model import ModelConfig
 from lort.signal import Waveform, read_wav, write_wav
 
 MICRO_ARGS = ["--n-blocks", "1", "--channels", "4",
@@ -111,6 +112,29 @@ def test_enhance_rejects_weights_of_another_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'encoder.in_conv.w'" in err and "(16, 2, 1, 1)" in err and "(4, 2, 1, 1)" in err
     assert not out.exists()
+
+
+def test_enhance_rejects_tensors_of_other_blocks(tmp_path, capsys):
+    noisy = tmp_path / "noisy.wav"
+    write_noise(noisy)
+    weights = tmp_path / "w.bin"
+    two_blocks = ["--n-blocks", "2"] + MICRO_ARGS[2:]
+    assert run(["init-weights", "--out", str(weights)] + two_blocks) == 0
+    out = tmp_path / "o.wav"
+    code = run(["enhance", "--in", str(noisy), "--weights", str(weights),
+                "--out", str(out)] + MICRO_ARGS)
+    assert code == 2
+    assert "'block1." in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["enhance", "--in", "a.wav", "--weights", "w.bin", "--out", "b.wav"],
+    ["losses", "--ref", "a.wav", "--est", "b.wav"],
+    ["init-weights", "--out", "w.bin"],
+])
+def test_model_flags_default_to_the_model_config(argv):
+    assert _cfg_from(_build_parser().parse_args(argv)) == ModelConfig()
 
 
 def test_unknown_flag_exits_nonzero():

@@ -2,8 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import init_store, zero_store
 from lort.errors import InvalidSpecError
+from lort.layers import init_store, zero_store
 from lort.local_refine import DlcConfig, Lrc, cfn, dlc_receptive_field, lrc_block, tf_dlc
 
 

@@ -5,28 +5,31 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import init_store
 from lort.arrays import ConvSpec, conv2d
 from lort.errors import InvalidInputError, InvalidParameterError, ShapeError, WeightLookupError
+from lort.layers import init_store
 from lort.model import (
+    Discriminator,
     Dsdcn,
     Encoder,
     Lrtt,
     ModelConfig,
     build_model,
     count_params,
-    discriminator_manifest,
     estimate_flops,
     forward,
+    init_discriminator,
     init_weights,
     zero_weights,
 )
+from lort.objectives import discriminate
 from lort.verify import micro_config
-from lort.signal import Waveform, snr_db
+from lort.signal import Waveform, snr_db, stft
 from lort.weights import WeightStore
 
 
 MICRO = ModelConfig(n_blocks=1, channels=4, fft_len=64, win_len=64, hop=16)
+TWO_BLOCKS = ModelConfig(n_blocks=2, channels=4, fft_len=64, win_len=64, hop=16)
 
 
 def noise(n, seed=0, scale=0.1):
@@ -42,6 +45,8 @@ def test_config_validation():
         ModelConfig(densenet_dilations=(1, 2, 4, 6))
     with pytest.raises(InvalidParameterError):
         ModelConfig(densenet_dilations=(1, 2, 8, 4))
+    with pytest.raises(InvalidParameterError, match=r"densenet_dilations.*\(0, 1, 2, 4\)"):
+        ModelConfig(densenet_dilations=(0, 1, 2, 4))
     cfg = ModelConfig()
     assert cfg.freq_bins == 256 and cfg.enc_bins == 128 and cfg.block_channels == 48
 
@@ -96,6 +101,15 @@ def test_forward_rejects_weights_of_another_config():
     ws = init_weights(ModelConfig(n_blocks=1, channels=8, fft_len=64, win_len=64, hop=16))
     with pytest.raises(ShapeError, match=r"'encoder\.in_conv\.w'.*\(8, 2, 1, 1\).*\(4, 2, 1, 1\)"):
         forward(noise(4000), ws, MICRO)
+
+
+def test_forward_rejects_tensors_no_layer_declares():
+    ws = init_weights(TWO_BLOCKS)
+    with pytest.raises(WeightLookupError, match=r"no layer .* declares: \['block1\."):
+        forward(noise(4000), ws, MICRO)
+    # the critic's tensors may share the store
+    ws = init_discriminator(init_weights(MICRO), seed=1)
+    assert len(forward(noise(4000), ws, MICRO).wave) == 4000
 
 
 def test_weight_file_roundtrip_preserves_forward(tmp_path):
@@ -197,4 +211,39 @@ def test_manifest_fingerprints_are_pinned():
     assert sum(math.prod(shape) for _, shape, _ in ref) == 987_345
     assert manifest_sha256(ref) == MANIFEST_SHA256["reference"]
     assert manifest_sha256(build_model(micro_config()).manifest()) == MANIFEST_SHA256["micro"]
-    assert manifest_sha256(discriminator_manifest()) == MANIFEST_SHA256["disc"]
+    assert manifest_sha256(Discriminator().manifest()) == MANIFEST_SHA256["disc"]
+
+
+class RecordingStore(WeightStore):
+    """A copy of a store that records every name looked up in it."""
+
+    def __init__(self, ws):
+        super().__init__()
+        for name, arr in ws.items():
+            self[name] = arr
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+@pytest.mark.parametrize("cfg", [micro_config(), TWO_BLOCKS], ids=["micro", "two_blocks"])
+def test_the_stages_read_exactly_the_declared_parameters(cfg):
+    # forward's own validation reads every name, so the stages are run directly
+    model = build_model(cfg)
+    ws = RecordingStore(init_weights(cfg))
+    spec = stft(noise(2000), cfg.fft_len, cfg.win_len, cfg.hop)
+    feat, _ = model.features(spec)
+    t, f = spec.re.shape
+    h = model.trunk(ws, feat)
+    model.mag_dec.mask(ws, h, t, f)
+    model.phase_dec.phase(ws, h, t, f)
+    assert ws.read == set(model.param_names())
+
+
+def test_discriminate_reads_exactly_the_critic_manifest():
+    ws = RecordingStore(init_discriminator(WeightStore()))
+    m = np.abs(np.random.default_rng(14).standard_normal((20, 33)))
+    discriminate(m, 0.5 * m, ws)
+    assert ws.read == {name for name, _, _ in Discriminator().manifest()}

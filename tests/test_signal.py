@@ -11,7 +11,6 @@ from lort.errors import (
 from lort.signal import (
     ComplexSpec,
     Waveform,
-    compress_magnitude,
     decompose,
     hann_window,
     istft,
@@ -170,12 +169,6 @@ def test_decompose_recompose_roundtrip():
     back = recompose(mp)
     npt.assert_allclose(back.re, spec.re, atol=1e-12)
     npt.assert_allclose(back.im, spec.im, atol=1e-12)
-
-
-def test_compress_magnitude_identity_and_power():
-    m = np.abs(np.random.default_rng(0).standard_normal((4, 5)))
-    assert compress_magnitude(m, 1.0) is m
-    npt.assert_allclose(compress_magnitude(m, 0.5), np.sqrt(m))
 
 
 def test_complex_spec_shape_validation():
