@@ -91,26 +91,19 @@ def taylor_attention(ain: AttentionInput, normalize: bool = True) -> np.ndarray:
     return num / den
 
 
-def msar_correct(ain: AttentionInput, vprime: np.ndarray, ws, local, gate) -> np.ndarray:
+def msar_correct(q, k, v, vprime, ws, local, gate) -> np.ndarray:
     """Gated local correction V'' = V' + g * L for the dropped Taylor remainder.
 
-    L is the depthwise 3x3 conv `local` of V on the t x f grid; the gate g
-    is the sigmoid of the pointwise conv `gate` of the concatenated Q and K
-    maps. Both convs apply their weights from `ws`.
+    All four arguments are (B, C, T, F) maps. L is the depthwise 3x3 conv
+    `local` of V; the gate g is the sigmoid of the pointwise conv `gate` of
+    the channel concat of Q and K. Both convs apply their weights from `ws`.
     """
-    t, f = ain.grid
-    h, n, dh = ain.v.shape
-    c = h * dh
-
-    def to_map(x: np.ndarray) -> np.ndarray:
-        # (H, N, Dh) -> (1, H*Dh, t, f), head-major channel layout
-        return x.transpose(0, 2, 1).reshape(1, c, t, f)
-
-    loc = local(ws, to_map(ain.v))
-    qk = np.concatenate([to_map(ain.q), to_map(ain.k)], axis=1)
-    g = sigmoid(gate(ws, qk))
-    corr = (g * loc).reshape(h, dh, n).transpose(0, 2, 1)
-    return vprime + corr
+    if not q.shape == k.shape == v.shape == vprime.shape or q.ndim != 4:
+        raise ShapeError(f"msar_correct expects four equal (B, C, T, F) maps, got "
+                         f"{q.shape}, {k.shape}, {v.shape}, {vprime.shape}")
+    loc = local(ws, v)
+    g = sigmoid(gate(ws, np.concatenate([q, k], axis=1)))
+    return vprime + g * loc
 
 
 def scea(x: np.ndarray, ws, ch, sp) -> np.ndarray:

@@ -1,16 +1,12 @@
-"""Command-line entry point: enhancement, benchmarks, and the built-in
-verification workflows, each as a subcommand. Numeric reports print with
-6 significant digits; tabular output is CSV on stdout.
+"""Command-line entry point: enhancement, weight and loss utilities, and
+the built-in verification workflows, each as a subcommand. Numeric reports
+print with 6 significant digits; tabular output is CSV on stdout.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
-import numpy as np
-
-from .attention import AttentionInput, count_ops, softmax_attention, taylor_attention
 from .errors import LortError
 from .model import ModelConfig, forward, init_discriminator, init_weights
 from .objectives import LossWeights, evaluate_losses
@@ -50,13 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", required=True)
     _add_model_args(e)
 
-    b = sub.add_parser("bench", help="attention complexity and wall time")
-    b.add_argument("--t", type=int, required=True)
-    b.add_argument("--f", type=int, required=True)
-    b.add_argument("--d", type=int, required=True)
-    b.add_argument("--trials", type=int, default=5)
-    b.add_argument("--seed", type=int, default=0)
-
     g = sub.add_parser("gradcheck", help="analytic-vs-numeric gradient check")
     g.add_argument("--seed", type=int, default=0)
 
@@ -95,28 +84,6 @@ def _cmd_enhance(args) -> int:
     with open(args.out, "wb") as fh:
         fh.write(write_wav(res.wave))
     print(f"wrote {args.out}: {len(res.wave)} samples at {res.wave.sample_rate} Hz")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    ops = count_ops(args.t, args.f, args.d)
-    rng = np.random.default_rng(args.seed)
-    n = args.t * args.f
-    ain = AttentionInput(rng.standard_normal((1, n, args.d)),
-                         rng.standard_normal((1, n, args.d)),
-                         rng.standard_normal((1, n, args.d)), (args.t, args.f))
-
-    def clock(fn) -> float:
-        best = float("inf")
-        for _ in range(max(1, args.trials)):
-            t0 = time.perf_counter()
-            fn(ain)
-            best = min(best, time.perf_counter() - t0)
-        return best * 1e3
-
-    print(f"t={args.t} f={args.f} d={args.d} "
-          f"mhsa_ops={ops.mhsa_ops} tmsa_ops={ops.tmsa_ops} "
-          f"softmax_ms={clock(softmax_attention):.6g} taylor_ms={clock(taylor_attention):.6g}")
     return 0
 
 
@@ -177,7 +144,6 @@ def _cmd_init_weights(args) -> int:
 
 _COMMANDS = {
     "enhance": _cmd_enhance,
-    "bench": _cmd_bench,
     "gradcheck": _cmd_gradcheck,
     "sweep": _cmd_sweep,
     "train-toy": _cmd_train_toy,

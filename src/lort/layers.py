@@ -76,9 +76,6 @@ class DenseStack:
     """Densely connected stack. Each layer is a tuple of sub-layers applied
     in order to the channel concat of the stack input and every earlier
     layer's output; the last layer's output is returned.
-
-    `use_norm=False` skips the `Norm` sub-layers, so the conv skeleton's
-    impulse response can be measured directly.
     """
 
     def __init__(self, layers):
@@ -88,14 +85,13 @@ class DenseStack:
         for layer in self.layers:
             yield from manifest_of(*layer)
 
-    def __call__(self, ws, x, use_norm=True):
+    def __call__(self, ws, x):
         feats = [x]
         z = x
         for layer in self.layers:
             z = np.concatenate(feats, axis=1) if len(feats) > 1 else x
             for sub in layer:
-                if use_norm or not isinstance(sub, Norm):
-                    z = sub(ws, z)
+                z = sub(ws, z)
             feats.append(z)
         return z
 

@@ -68,10 +68,10 @@ class Dlc:
     def manifest(self):
         yield from manifest_of(self.pw_in, self.pw_out, self.dense)
 
-    def __call__(self, ws, x: np.ndarray, use_norm: bool = True) -> np.ndarray:
+    def __call__(self, ws, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise ShapeError(f"dlc expects (B, C, T, F), got shape {x.shape}")
-        return x + self.pw_out(ws, self.dense(ws, self.pw_in(ws, x), use_norm=use_norm))
+        return x + self.pw_out(ws, self.dense(ws, self.pw_in(ws, x)))
 
 
 class Lrc:
@@ -97,9 +97,9 @@ def cfn(lrc: Lrc, ws, x: np.ndarray) -> np.ndarray:
     return x + lrc.dw(ws, silu(lrc.pw(ws, lrc.ln(ws, x))))
 
 
-def tf_dlc(lrc: Lrc, ws, x: np.ndarray, use_norm: bool = True) -> np.ndarray:
+def tf_dlc(lrc: Lrc, ws, x: np.ndarray) -> np.ndarray:
     """Two sequential dense local convolutions: time axis, then frequency."""
-    return lrc.dlc_f(ws, lrc.dlc_t(ws, x, use_norm=use_norm), use_norm=use_norm)
+    return lrc.dlc_f(ws, lrc.dlc_t(ws, x))
 
 
 def lrc_block(lrc: Lrc, ws, x: np.ndarray) -> np.ndarray:

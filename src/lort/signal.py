@@ -27,6 +27,7 @@ __all__ = [
     "hann_window",
     "stft",
     "istft",
+    "invertible",
     "decompose",
     "recompose",
     "snr_db",
@@ -164,6 +165,10 @@ def write_wav(wf: Waveform) -> bytes:
 # ---------------------------------------------------------------------------
 # STFT / iSTFT
 
+# smallest overlap-added squared-window sum that istft divides by
+OLA_FLOOR = 1e-8
+
+
 def hann_window(n: int) -> np.ndarray:
     """Periodic Hann window of length n."""
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
@@ -201,22 +206,35 @@ def stft(x: Waveform, fft_len: int = 510, win_len: int = 510, hop: int = 100,
     return ComplexSpec(spec.real, spec.imag, fft_len, win_len, hop, window)
 
 
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum of the rows of `frames`, row m shifted by m * hop samples."""
+    t, n = frames.shape
+    out = np.zeros((t - 1) * hop + n)
+    for m in range(t):
+        out[m * hop : m * hop + n] += frames[m]
+    return out
+
+
+def invertible(window: np.ndarray, hop: int) -> bool:
+    """Whether `istft` can divide by the squared window overlap-added every
+    `hop` samples: its minimum over one steady-state hop period must reach
+    OLA_FLOOR. For a Hann window this decides `istft`'s outcome on any
+    signal longer than the window."""
+    k = -(-window.size // hop)  # frames over one window; frame k-1 starts the steady state
+    den = _overlap_add(np.tile(window * window, (k, 1)), hop)
+    return bool(den[(k - 1) * hop : k * hop].min() >= OLA_FLOOR)
+
+
 def istft(spec: ComplexSpec, out_len: int) -> Waveform:
     """Weighted overlap-add inverse with window-square normalization."""
     w = spec.window
     frames = np.fft.irfft(spec.complex(), n=spec.fft_len, axis=1)[:, : spec.win_len]
     frames = frames * w
-    t, win_len, hop = spec.frames, spec.win_len, spec.hop
-    total = (t - 1) * hop + win_len
-    num = np.zeros(total)
-    den = np.zeros(total)
-    w2 = w * w
-    for m in range(t):
-        num[m * hop : m * hop + win_len] += frames[m]
-        den[m * hop : m * hop + win_len] += w2
-    pad = win_len // 2
-    keep = slice(pad, min(pad + out_len, total))
-    if np.any(den[keep] < 1e-8):
+    num = _overlap_add(frames, spec.hop)
+    den = _overlap_add(np.broadcast_to(w * w, frames.shape), spec.hop)
+    pad = spec.win_len // 2
+    keep = slice(pad, min(pad + out_len, num.size))
+    if np.any(den[keep] < OLA_FLOOR):
         raise NonInvertibleWindowError(
             "overlap-add normalization below 1e-8; window/hop pair is not invertible"
         )

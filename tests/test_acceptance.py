@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 
 from lort.attention import AttentionInput, count_ops, taylor_attention
-from lort.layers import init_store, zero_store
+from lort.layers import DenseStack, Norm, init_store, zero_store
 from lort.local_refine import Lrc, cfn, lrc_block, tf_dlc
 from lort.model import (
     Dsdcn,
@@ -155,6 +155,12 @@ def test_criterion_07_residual_skeleton_identity():
           "zero-offset deformable conv matches plain depthwise-separable")
 
 
+def conv_skeleton(stack):
+    """The dense stack's own layers without their Norm sub-layers."""
+    return DenseStack(tuple(sub for sub in layer if not isinstance(sub, Norm))
+                      for layer in stack.layers)
+
+
 def test_criterion_08_receptive_fields():
     cfg = ModelConfig(n_blocks=1, channels=4, fft_len=64, win_len=64, hop=16)
     dense = dilated_dense("dense", 4, cfg.densenet_dilations)
@@ -165,7 +171,7 @@ def test_criterion_08_receptive_fields():
         idx = np.flatnonzero(mask)
         return int(idx[-1] - idx[0] + 1)
 
-    out = np.abs(dense(ws, x, use_norm=False))
+    out = np.abs(conv_skeleton(dense)(ws, x))
     t_support = extent(np.any(out > 0, axis=(0, 1, 3)))
     f_support = extent(np.any(out > 0, axis=(0, 1, 2)))
     assert t_support == 31 and f_support == 31
@@ -175,7 +181,8 @@ def test_criterion_08_receptive_fields():
     ws_lrc = init_store(lrc.manifest(), seed=7)
     xi = np.zeros((1, c, 128, 3))
     xi[0, :, 64, 1] = 1.0
-    resid = lrc.dlc_t(ws_lrc, xi, use_norm=False) - xi
+    dlc = lrc.dlc_t
+    resid = xi + dlc.pw_out(ws_lrc, conv_skeleton(dlc.dense)(ws_lrc, dlc.pw_in(ws_lrc, xi))) - xi
     d_support = extent(np.any(np.abs(resid) > 0, axis=(0, 1, 3)))
     assert d_support == 109
     print(f"PASS criterion 8: impulse supports 31 (encoder stack) and "

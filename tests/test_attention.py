@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from lort.arrays import ConvSpec, conv2d
 from lort.attention import (
     AttentionInput,
     count_ops,
@@ -78,19 +79,47 @@ def msar_params(c, seed=None):
     return ws, Conv("m.local", c, c, (3, 3), groups=c), Conv("m.gate", 2 * c, c, (1, 1))
 
 
-def test_msar_zero_params_is_identity_on_vprime():
-    ain = random_input(seed=3)
+def to_map(x, grid):
+    # (H, N, Dh) -> (1, H*Dh, t, f), head-major channel layout
+    h, _, dh = x.shape
+    return x.transpose(0, 2, 1).reshape(1, h * dh, *grid)
+
+
+def msar_maps(ain):
     vp = taylor_attention(ain)
-    npt.assert_array_equal(msar_correct(ain, vp, *msar_params(2 * 6)), vp)
+    return [to_map(x, ain.grid) for x in (ain.q, ain.k, ain.v, vp)]
+
+
+def test_msar_zero_params_is_identity_on_vprime():
+    maps = msar_maps(random_input(seed=3))
+    npt.assert_array_equal(msar_correct(*maps, *msar_params(2 * 6)), maps[3])
 
 
 def test_msar_correction_is_bounded_by_local_branch():
-    ain = random_input(seed=4)
-    vp = taylor_attention(ain)
-    out = msar_correct(ain, vp, *msar_params(2 * 6, seed=5))
+    maps = msar_maps(random_input(seed=4))
+    vp = maps[3]
+    out = msar_correct(*maps, *msar_params(2 * 6, seed=5))
     assert out.shape == vp.shape
     assert np.all(np.isfinite(out))
     assert not np.allclose(out, vp)
+
+
+def test_msar_gates_the_local_conv_of_v_by_q_and_k():
+    q, k, v, vp = msar_maps(random_input(seed=4))
+    ws, _, _ = msar_params(2 * 6, seed=5)
+    local = conv2d(v, ws["m.local.w"], ws["m.local.b"],
+                   ConvSpec(kernel=(3, 3), groups=12, padding=(1, 1)))
+    gate = conv2d(np.concatenate([q, k], axis=1), ws["m.gate.w"], ws["m.gate.b"],
+                  ConvSpec(kernel=(1, 1)))
+    want = vp + local / (1.0 + np.exp(-gate))
+    npt.assert_allclose(msar_correct(q, k, v, vp, *msar_params(2 * 6, seed=5)), want,
+                        rtol=1e-12)
+
+
+def test_msar_rejects_maps_of_unequal_shape():
+    q, k, v, vp = msar_maps(random_input(seed=3))
+    with pytest.raises(ShapeError):
+        msar_correct(q, k, v[:, :, :2], vp, *msar_params(2 * 6))
 
 
 def scea_params(c, seed=0):

@@ -15,13 +15,6 @@ def write_noise(path, n=4000, seed=0):
     return wf
 
 
-def test_bench_prints_op_counts(capsys):
-    assert run(["bench", "--t", "8", "--f", "8", "--d", "16", "--trials", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "mhsa_ops=196608" in out and "tmsa_ops=51200" in out
-    assert "softmax_ms=" in out and "taylor_ms=" in out
-
-
 def test_gradcheck_reports_small_error(capsys):
     assert run(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out
@@ -128,6 +121,15 @@ def test_enhance_rejects_tensors_of_other_blocks(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_init_weights_rejects_a_config_no_forward_can_run(tmp_path, capsys):
+    weights = tmp_path / "w.bin"
+    code = run(["init-weights", "--out", str(weights), "--fft-len", "16", "--win-len", "31",
+                "--hop", "16", "--channels", "4", "--n-blocks", "1"])
+    assert code == 2
+    assert "win_len=31" in capsys.readouterr().err
+    assert not weights.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["enhance", "--in", "a.wav", "--weights", "w.bin", "--out", "b.wav"],
     ["losses", "--ref", "a.wav", "--est", "b.wav"],
@@ -139,5 +141,5 @@ def test_model_flags_default_to_the_model_config(argv):
 
 def test_unknown_flag_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
-        run(["bench", "--bogus", "1"])
+        run(["gradcheck", "--bogus", "1"])
     assert exc.value.code != 0

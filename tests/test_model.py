@@ -24,7 +24,7 @@ from lort.model import (
 )
 from lort.objectives import discriminate
 from lort.verify import micro_config
-from lort.signal import Waveform, snr_db, stft
+from lort.signal import Waveform, decompose, istft, recompose, snr_db, stft
 from lort.weights import WeightStore
 
 
@@ -47,8 +47,35 @@ def test_config_validation():
         ModelConfig(densenet_dilations=(1, 2, 8, 4))
     with pytest.raises(InvalidParameterError, match=r"densenet_dilations.*\(0, 1, 2, 4\)"):
         ModelConfig(densenet_dilations=(0, 1, 2, 4))
+    # STFT settings no forward can run: window longer than the FFT, hop
+    # longer than the window, and a hop the Hann window cannot overlap-add
+    for stft_args, match in [((16, 31, 16), r"win_len=31, fft_len=16"),
+                             ((64, 32, 40), r"hop=40, win_len=32"),
+                             ((64, 64, 64), r"win_len=64 with hop=64 is not invertible")]:
+        fft_len, win_len, hop = stft_args
+        with pytest.raises(InvalidParameterError, match=match):
+            ModelConfig(fft_len=fft_len, win_len=win_len, hop=hop, channels=4, n_blocks=1)
     cfg = ModelConfig()
     assert cfg.freq_bins == 256 and cfg.enc_bins == 128 and cfg.block_channels == 48
+
+
+def test_every_accepted_config_runs_forward():
+    # small random configs: ModelConfig rejects each one forward cannot run
+    rng = np.random.default_rng(0)
+    ran = 0
+    for i in range(80):
+        win_len = int(rng.integers(1, 97))
+        kwargs = dict(n_blocks=int(rng.integers(1, 3)), channels=int(rng.choice([2, 4])),
+                      fft_len=max(1, win_len + int(rng.integers(-4, 33))), win_len=win_len,
+                      hop=int(rng.integers(1, win_len + 5)))
+        try:
+            cfg = ModelConfig(**kwargs)
+        except InvalidParameterError:
+            continue
+        res = forward(noise(4000, seed=i), init_weights(cfg, seed=i), cfg)
+        assert len(res.wave) == 4000, kwargs
+        ran += 1
+    assert 10 <= ran <= 70  # both outcomes are exercised
 
 
 @pytest.mark.parametrize("n", [3000, 4001, 5003])
@@ -78,11 +105,15 @@ def test_forward_is_deterministic():
 
 
 def test_zero_weights_pass_through_with_noisy_phase():
-    # zero slopes make the mask exactly 1, so the input is reconstructed
+    # zero slopes make the mask exactly 1, so resynthesizing the masked
+    # magnitude with the noisy phase reconstructs the input
     wf = noise(4000, seed=3)
-    res = forward(wf, zero_weights(MICRO), MICRO, use_noisy_phase=True)
+    res = forward(wf, zero_weights(MICRO), MICRO)
     npt.assert_array_equal(res.mask, np.ones_like(res.mask))
-    assert snr_db(wf.samples, res.wave.samples) >= 100.0
+    mp = decompose(stft(wf, MICRO.fft_len, MICRO.win_len, MICRO.hop))
+    mp.mag = res.mask * mp.mag
+    wave = istft(recompose(mp), len(wf))
+    assert snr_db(wf.samples, wave.samples) >= 100.0
 
 
 def test_missing_weights_raise_lookup_error():
@@ -151,6 +182,66 @@ def test_dsdcn_nonzero_offsets_change_the_output():
                   ConvSpec(kernel=(1, 1)))
     assert not np.allclose(got, want, atol=1e-6)
     assert np.all(np.isfinite(got))
+
+
+def bilinear_dsdcn_oracle(ws, x, off, name="embed"):
+    """Deformable depthwise conv, one bilinear sample at a time, then the
+    pointwise conv; samples outside the plane read zero."""
+    b, c, t, f = x.shape
+    w, bias = ws[f"{name}.depthwise.w"], ws[f"{name}.depthwise.b"]
+
+    def pixel(i, ch, y, z):
+        inside = 0 <= y < t and 0 <= z < f
+        return x[i, ch, y, z] if inside else 0.0
+
+    dw = np.zeros_like(x)
+    outside = 0
+    for i in range(b):
+        for ch in range(c):
+            for y in range(t):
+                for z in range(f):
+                    acc = 0.0
+                    for m in range(9):
+                        a, cc = divmod(m, 3)
+                        pt = y + a - 1 + off[i, 2 * m, y, z]
+                        pf = z + cc - 1 + off[i, 2 * m + 1, y, z]
+                        y0, z0 = math.floor(pt), math.floor(pf)
+                        wy, wz = pt - y0, pf - z0
+                        outside += not (0 <= y0 and y0 + 1 < t and 0 <= z0 and z0 + 1 < f)
+                        sample = ((1 - wy) * (1 - wz) * pixel(i, ch, y0, z0)
+                                  + (1 - wy) * wz * pixel(i, ch, y0, z0 + 1)
+                                  + wy * (1 - wz) * pixel(i, ch, y0 + 1, z0)
+                                  + wy * wz * pixel(i, ch, y0 + 1, z0 + 1))
+                        acc += w[ch, 0, a, cc] * sample
+                    dw[i, ch, y, z] = acc + bias[ch]
+    pw = np.einsum("oc,bctf->botf", ws[f"{name}.pointwise.w"][:, :, 0, 0], dw)
+    return pw + ws[f"{name}.pointwise.b"][:, None, None], outside
+
+
+def test_dsdcn_batch_matches_a_per_pixel_bilinear_oracle():
+    c = 3
+    layer = Dsdcn("embed", c)
+    ws = init_store(layer.manifest(), seed=15)
+    rng = np.random.default_rng(16)
+    # offsets of up to a few pixels, so many taps sample outside the plane
+    ws["embed.offset.w"] = 0.5 * rng.standard_normal(ws["embed.offset.w"].shape)
+    ws["embed.offset.b"] = rng.uniform(-2.5, 2.5, ws["embed.offset.b"].shape)
+    x = rng.standard_normal((2, c, 6, 5))
+    off = layer.offset(ws, x)
+    want, outside = bilinear_dsdcn_oracle(ws, x, off)
+    assert 0 < outside < 2 * c * 6 * 5 * 9
+    npt.assert_allclose(layer(ws, x), want, rtol=1e-12, atol=1e-14)
+
+
+def test_lrtt_batch_equals_the_items_stacked():
+    ws = init_weights(MICRO, seed=17)
+    rng = np.random.default_rng(18)
+    for name in list(ws):
+        if ".msar." in name:
+            ws[name] = 0.3 * rng.standard_normal(ws[name].shape)
+    block = Lrtt("block0", MICRO)
+    x = rng.standard_normal((2, MICRO.block_channels, 6, 5))
+    npt.assert_array_equal(block(ws, x), np.concatenate([block(ws, x[:1]), block(ws, x[1:])]))
 
 
 def test_stage_layers_shapes():

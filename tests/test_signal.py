@@ -13,6 +13,7 @@ from lort.signal import (
     Waveform,
     decompose,
     hann_window,
+    invertible,
     istft,
     read_wav,
     recompose,
@@ -136,6 +137,24 @@ def test_istft_non_invertible_window_raises():
     spec = stft(wf, 64, 64, 16, window=np.zeros(64))
     with pytest.raises(NonInvertibleWindowError):
         istft(spec, len(wf))
+
+
+def test_invertible_predicts_istft_on_hann_windows():
+    # the steady-state rule decides istft's outcome once the signal is
+    # longer than the window
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for win_len in range(1, 25):
+        for hop in range(1, win_len + 1):
+            wf = Waveform(rng.standard_normal(2 * win_len + 3))
+            try:
+                istft(stft(wf, win_len, win_len, hop), len(wf))
+                ran = True
+            except NonInvertibleWindowError:
+                ran = False
+            assert invertible(hann_window(win_len), hop) == ran, (win_len, hop)
+            outcomes.add(ran)
+    assert outcomes == {True, False}
 
 
 def test_stft_parameter_validation():

@@ -10,6 +10,7 @@ from lort.verify import make_toy_task, micro_config
 from perfbench.tracing import Recorder, op_layers, tracing
 
 SPANS = (
+    "attention.taylor_attention",
     "local_refine.lrc_block",
     "local_refine.cfn",
     "local_refine.tf_dlc",
@@ -37,3 +38,4 @@ def test_traced_op_covers_the_layers_and_their_macs():
     assert sum(row["macs"] for row in layers.values()) == meter.macs
     for name in SPANS:
         assert layers.get(name, {}).get("calls", 0) == cfg.n_blocks, name
+    assert layers.get("model.embed", {}).get("calls", 0) == 1
