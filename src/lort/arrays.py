@@ -393,16 +393,14 @@ def prelu(x: np.ndarray, a) -> np.ndarray:
     return np.where(x >= 0, x, a * x)
 
 
-def lsigmoid(x: np.ndarray, alpha: np.ndarray, beta: float = 2.0) -> np.ndarray:
-    """Learnable sigmoid beta * sigma(alpha * x); alpha is per frequency bin."""
-    if beta <= 0:
-        raise InvalidParameterError(f"beta must be positive, got {beta}")
+def lsigmoid(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Learnable sigmoid 2 * sigma(alpha * x), in (0, 2); alpha is per frequency bin."""
     alpha = np.asarray(alpha)
     if alpha.ndim != 1 or alpha.shape[0] != x.shape[-1]:
         raise ShapeError(
             f"lsigmoid needs one alpha per frequency bin: alpha {alpha.shape}, input {x.shape}"
         )
-    return beta * sigmoid(alpha * x)
+    return 2.0 * sigmoid(alpha * x)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

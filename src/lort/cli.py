@@ -9,7 +9,7 @@ import sys
 
 from .errors import LortError
 from .model import ModelConfig, forward, init_discriminator, init_weights
-from .objectives import LossWeights, evaluate_losses
+from .objectives import evaluate_losses
 from .signal import read_wav, stft, write_wav
 from .verify import (
     SpsaConfig,
@@ -128,7 +128,7 @@ def _cmd_losses(args) -> int:
             wav = read_wav(fh.read())
         specs.append(stft(wav, cfg.fft_len, cfg.win_len, cfg.hop))
     disc = init_discriminator(WeightStore(), seed=0)
-    report = evaluate_losses(specs[0], specs[1], LossWeights(*cfg.loss_weights), disc=disc)
+    report = evaluate_losses(specs[0], specs[1], disc=disc)
     print(report.to_line())
     return 0
 

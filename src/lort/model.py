@@ -10,7 +10,8 @@ and the forward pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from .arrays import FlopMeter, lsigmoid, silu
 from .errors import InvalidInputError, InvalidParameterError, ShapeError, WeightLookupError
 from .layers import Conv, DenseStack, Norm, PRelu, init_store, manifest_of, zero_store
 from .local_refine import DlcConfig, Lrc, lrc_block
-from .signal import (OLA_FLOOR, ComplexSpec, MagPhase, Waveform, decompose, hann_window,
-                     invertible, istft, recompose, stft)
+from .signal import (OLA_FLOOR, SAMPLE_RATE, ComplexSpec, MagPhase, Waveform, decompose,
+                     hann_window, invertible, istft, recompose, stft)
 from .weights import WeightStore
 
 __all__ = [
@@ -37,36 +38,36 @@ __all__ = [
     "forward",
 ]
 
-LSIGMOID_BETA = 2.0
-
-
 @dataclass(frozen=True)
 class ModelConfig:
+    """Sizes of the network and of its STFT; the class constants hold for every config."""
+
     n_blocks: int = 4
     channels: int = 16
     fft_len: int = 510
     win_len: int = 510
     hop: int = 100
-    densenet_dilations: tuple[int, ...] = (1, 2, 4, 8)
-    dlc: DlcConfig = field(default_factory=DlcConfig)
-    heads: int = 4
     block_channel_mult: int = 3
-    loss_weights: tuple[float, float, float, float, float] = (0.1, 0.9, 0.3, 0.1, 0.05)
-    sample_rate: int = 16000
+
+    heads: ClassVar[int] = 4
+    densenet_dilations: ClassVar[tuple[int, ...]] = (1, 2, 4, 8)
+    dlc: ClassVar[DlcConfig] = DlcConfig()
+    sample_rate: ClassVar[int] = SAMPLE_RATE
+    loss_weights: ClassVar[tuple[float, ...]] = (0.1, 0.9, 0.3, 0.1, 0.05)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int):
+                raise InvalidParameterError(f"{f.name} must be an int, got {value!r}")
         if self.n_blocks < 1:
             raise InvalidParameterError(f"n_blocks must be >= 1, got {self.n_blocks}")
         if self.channels < 2 or self.channels % 2:
             raise InvalidParameterError(f"channels must be even and >= 2, got {self.channels}")
-        dil = self.densenet_dilations
-        for a, b in zip(dil, dil[1:]):
-            if b <= a:
-                raise InvalidParameterError(f"dilations must be strictly increasing, got {dil}")
-        if any(d < 1 for d in dil):
-            raise InvalidParameterError(f"densenet_dilations must be >= 1, got {dil}")
-        if any(d & (d - 1) for d in dil):
-            raise InvalidParameterError(f"dilations must be powers of two, got {dil}")
+        if self.block_channel_mult < 1:
+            raise InvalidParameterError(
+                f"block_channel_mult must be >= 1, got {self.block_channel_mult}"
+            )
         if not 1 <= self.hop <= self.win_len <= self.fft_len:
             raise InvalidParameterError(
                 f"need 1 <= hop <= win_len <= fft_len, got hop={self.hop}, "
@@ -290,7 +291,7 @@ class MagDecoder(Decoder):
 
     def mask(self, ws, x, t, f):
         logits = _fit(self.out(ws, super().__call__(ws, x)), t, f)
-        return lsigmoid(logits[:, 0], ws["mag_decoder.lsigmoid.alpha"], LSIGMOID_BETA)
+        return lsigmoid(logits[:, 0], ws["mag_decoder.lsigmoid.alpha"])
 
 
 class PhaseDecoder(Decoder):
@@ -344,8 +345,6 @@ class LortModel:
         for block in self.blocks:
             h = block(ws, h)
         h = _fit(self.up(ws, h), skip.shape[2], skip.shape[3])
-        if h.shape != skip.shape:
-            raise ShapeError(f"skip join mismatch: {h.shape} vs {skip.shape}")
         return h + skip
 
     def forward(self, noisy: Waveform, ws: WeightStore) -> ForwardResult:
@@ -376,7 +375,6 @@ class LortModel:
         phase = self.phase_dec.phase(ws, h, t, f)[0]
         out_spec = recompose(replace(mp, mag=mask * mp.mag, phase=phase))
         wave = istft(out_spec, len(noisy))
-        wave.sample_rate = noisy.sample_rate
         return ForwardResult(wave=wave, spec=out_spec, mask=mask, phase=phase)
 
 
@@ -436,6 +434,8 @@ def count_params(cfg: ModelConfig) -> int:
 
 def estimate_macs(cfg: ModelConfig, duration_s: float) -> int:
     """Measured multiply-accumulate count of one forward pass."""
+    if not 0 <= duration_s < math.inf:
+        raise InvalidParameterError(f"duration_s must be finite and >= 0, got {duration_s}")
     n = int(round(duration_s * cfg.sample_rate))
     model = build_model(cfg)
     ws = init_weights(cfg, seed=0)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .arrays import sigmoid
 from .errors import InvalidParameterError, ShapeError
-from .model import Discriminator
+from .model import Discriminator, ModelConfig
 from .signal import ComplexSpec, Waveform, default_out_len, istft, stft
 
 __all__ = [
@@ -40,11 +40,13 @@ _TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class LossWeights:
-    a1: float = 0.1
-    a2: float = 0.9
-    a3: float = 0.3
-    a4: float = 0.1
-    a5: float = 0.05
+    """Coefficients of the composite loss, by default ModelConfig.loss_weights."""
+
+    a1: float = ModelConfig.loss_weights[0]
+    a2: float = ModelConfig.loss_weights[1]
+    a3: float = ModelConfig.loss_weights[2]
+    a4: float = ModelConfig.loss_weights[3]
+    a5: float = ModelConfig.loss_weights[4]
 
     def __post_init__(self) -> None:
         vals = (self.a1, self.a2, self.a3, self.a4, self.a5)
@@ -187,7 +189,6 @@ def grad_consistency(est: ComplexSpec) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Quality oracle and metric-adversarial pair
 
-@dataclass
 class SegmentalSnrOracle:
     """Perceptual-quality proxy from mean segmental SNR over 32 ms frames.
 
@@ -196,9 +197,9 @@ class SegmentalSnrOracle:
     saturating at the ceiling) scores exactly 1.
     """
 
-    frame_s: float = 0.032
-    floor_db: float = -10.0
-    ceil_db: float = 35.0
+    frame_s = 0.032
+    floor_db = -10.0
+    ceil_db = 35.0
 
     def __call__(self, reference: Waveform, estimate: Waveform) -> float:
         ref, est = reference.samples, estimate.samples

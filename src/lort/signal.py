@@ -34,10 +34,13 @@ __all__ = [
 ]
 
 
+SAMPLE_RATE = 16000  # the one rate the model accepts, and a Waveform's default
+
+
 @dataclass
 class Waveform:
     samples: np.ndarray
-    sample_rate: int = 16000
+    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -89,10 +92,10 @@ class MagPhase:
     mag: np.ndarray
     phase: np.ndarray
     # transform metadata carried along so recompose() is self-contained
-    fft_len: int = 0
-    win_len: int = 0
-    hop: int = 0
-    window: np.ndarray | None = None
+    fft_len: int
+    win_len: int
+    hop: int
+    window: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +186,11 @@ def _check_params(fft_len: int, win_len: int, hop: int) -> None:
         raise InvalidInputError(f"hop {hop} exceeds win_len {win_len}")
 
 
-def stft(x: Waveform, fft_len: int = 510, win_len: int = 510, hop: int = 100,
+def stft(x: Waveform, fft_len: int, win_len: int, hop: int,
          window: np.ndarray | None = None) -> ComplexSpec:
     """One-sided STFT with reflect center padding of win_len // 2 per side."""
     _check_params(fft_len, win_len, hop)
-    s = x.samples if isinstance(x, Waveform) else np.asarray(x, dtype=np.float64)
+    s = (x if isinstance(x, Waveform) else Waveform(x)).samples
     if s.size == 0:
         raise InvalidInputError("cannot transform an empty signal")
     if window is None:
@@ -197,11 +200,9 @@ def stft(x: Waveform, fft_len: int = 510, win_len: int = 510, hop: int = 100,
         raise InvalidInputError(
             f"signal of {s.size} samples too short for reflect padding of {pad}"
         )
+    # 2 * pad >= win_len - 1 and the signal is non-empty, so at least one frame fits
     sp = np.pad(s, (pad, pad), mode="reflect")
-    n_frames = (sp.size - win_len) // hop + 1
-    if n_frames < 1:
-        raise InvalidInputError("signal shorter than one analysis frame")
-    frames = np.lib.stride_tricks.sliding_window_view(sp, win_len)[:: hop][:n_frames]
+    frames = np.lib.stride_tricks.sliding_window_view(sp, win_len)[:: hop]
     spec = np.fft.rfft(frames * window, n=fft_len, axis=1)
     return ComplexSpec(spec.real, spec.imag, fft_len, win_len, hop, window)
 
@@ -261,8 +262,6 @@ def decompose(spec: ComplexSpec) -> MagPhase:
 
 
 def recompose(mp: MagPhase) -> ComplexSpec:
-    if mp.window is None:
-        raise InvalidInputError("MagPhase carries no transform metadata; cannot recompose")
     return ComplexSpec(
         mp.mag * np.cos(mp.phase),
         mp.mag * np.sin(mp.phase),

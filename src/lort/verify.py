@@ -5,6 +5,7 @@ gradient-free SPSA trainer for the synthetic micro task.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .model import (
     init_weights,
 )
 from .objectives import (
-    LossWeights,
     evaluate_losses,
     grad_consistency,
     grad_mag,
@@ -215,10 +215,12 @@ class SpsaConfig:
     iterations: int = 200
     c: float = 0.02
     a: float = 1.0
-    alpha: float = 0.602
-    gamma: float = 0.101
     seed: int = 7
-    smooth_window: int = 10
+
+    # Spall's step and perturbation decay exponents; losses averaged at each end
+    alpha: ClassVar[float] = 0.602
+    gamma: ClassVar[float] = 0.101
+    smooth_window: ClassVar[int] = 10
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -287,14 +289,13 @@ def spsa_train(cfg: ModelConfig | None = None, spsa: SpsaConfig | None = None) -
     noisy, clean = make_toy_task(cfg, seed=spsa.seed)
     ref_spec = stft(clean, cfg.fft_len, cfg.win_len, cfg.hop)
     disc = init_discriminator(WeightStore(), seed=spsa.seed)
-    weights = LossWeights(*cfg.loss_weights)
     ws0 = init_weights(cfg, seed=spsa.seed)
     names = [n for n, _, _ in build_model(cfg).manifest()]
     theta = _flatten(ws0, names)
 
     def evaluate(vec: np.ndarray) -> float:
         res = forward(noisy, _unflatten(vec, ws0, names), cfg)
-        return evaluate_losses(res.spec, ref_spec, weights, disc=disc).total
+        return evaluate_losses(res.spec, ref_spec, disc=disc).total
 
     big_a = 0.1 * spsa.iterations
     traj = np.empty(spsa.iterations)

@@ -139,6 +139,11 @@ def test_model_flags_default_to_the_model_config(argv):
     assert _cfg_from(_build_parser().parse_args(argv)) == ModelConfig()
 
 
+def test_trend_rejects_a_negative_duration(capsys):
+    assert run(["trend", "--duration", "-1"]) == 2
+    assert "duration_s" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         run(["gradcheck", "--bogus", "1"])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -17,13 +18,15 @@ from lort.model import (
     build_model,
     count_params,
     estimate_flops,
+    estimate_macs,
     forward,
     init_discriminator,
     init_weights,
     zero_weights,
 )
-from lort.objectives import discriminate
-from lort.verify import micro_config
+from lort.local_refine import DlcConfig
+from lort.objectives import LossWeights, SegmentalSnrOracle, discriminate
+from lort.verify import SpsaConfig, micro_config, table2_trend
 from lort.signal import Waveform, decompose, istft, recompose, snr_db, stft
 from lort.weights import WeightStore
 
@@ -41,12 +44,14 @@ def test_config_validation():
         ModelConfig(n_blocks=0)
     with pytest.raises(InvalidParameterError):
         ModelConfig(channels=3)
-    with pytest.raises(InvalidParameterError):
-        ModelConfig(densenet_dilations=(1, 2, 4, 6))
-    with pytest.raises(InvalidParameterError):
-        ModelConfig(densenet_dilations=(1, 2, 8, 4))
-    with pytest.raises(InvalidParameterError, match=r"densenet_dilations.*\(0, 1, 2, 4\)"):
-        ModelConfig(densenet_dilations=(0, 1, 2, 4))
+    # a field of the wrong type or a multiplier below 1 is named with its value
+    for kwargs, match in [(dict(channels=4.0), r"channels must be an int, got 4\.0"),
+                          (dict(hop=16.0), r"hop must be an int, got 16\.0"),
+                          (dict(n_blocks=1.0), r"n_blocks must be an int, got 1\.0"),
+                          (dict(fft_len=64.5), r"fft_len must be an int, got 64\.5"),
+                          (dict(block_channel_mult=0), r"block_channel_mult must be >= 1, got 0")]:
+        with pytest.raises(InvalidParameterError, match=match):
+            ModelConfig(**kwargs)
     # STFT settings no forward can run: window longer than the FFT, hop
     # longer than the window, and a hop the Hann window cannot overlap-add
     for stft_args, match in [((16, 31, 16), r"win_len=31, fft_len=16"),
@@ -57,6 +62,26 @@ def test_config_validation():
             ModelConfig(fft_len=fft_len, win_len=win_len, hop=hop, channels=4, n_blocks=1)
     cfg = ModelConfig()
     assert cfg.freq_bins == 256 and cfg.enc_bins == 128 and cfg.block_channels == 48
+
+
+def test_settable_surface_is_pinned():
+    assert {f.name for f in dataclasses.fields(ModelConfig)} == {
+        "n_blocks", "channels", "fft_len", "win_len", "hop", "block_channel_mult"}
+    assert {f.name for f in dataclasses.fields(SpsaConfig)} == {"iterations", "c", "a", "seed"}
+    # the fixed settings stay readable from a config
+    cfg = micro_config()
+    assert cfg.heads == 4 and cfg.densenet_dilations == (1, 2, 4, 8)
+    assert cfg.dlc == DlcConfig() and cfg.sample_rate == 16000
+    assert LossWeights(*cfg.loss_weights) == LossWeights()
+    for name, value in [("heads", 2), ("sample_rate", 8000), ("densenet_dilations", (1, 2)),
+                        ("dlc", DlcConfig()), ("loss_weights", (1.0,) * 5)]:
+        with pytest.raises(TypeError):
+            ModelConfig(**{name: value})
+    for name in ("alpha", "gamma", "smooth_window"):
+        with pytest.raises(TypeError):
+            SpsaConfig(**{name: 1})
+    with pytest.raises(TypeError):
+        SegmentalSnrOracle(frame_s=0.02)
 
 
 def test_every_accepted_config_runs_forward():
@@ -274,6 +299,12 @@ def test_estimate_flops_grows_with_duration():
     f1 = estimate_flops(MICRO, 0.25)
     f2 = estimate_flops(MICRO, 0.5)
     assert 0 < f1 < f2
+
+
+def test_negative_duration_names_the_parameter():
+    for estimate in (estimate_macs, estimate_flops, lambda cfg, d: table2_trend([cfg], d)):
+        with pytest.raises(InvalidParameterError, match=r"duration_s .*-1"):
+            estimate(MICRO, -1.0)
 
 
 def test_manifest_names_are_unique():

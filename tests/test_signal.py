@@ -167,6 +167,11 @@ def test_stft_parameter_validation():
         stft(wf, 64, 64, 128)  # hop > win
     with pytest.raises(InvalidInputError):
         stft(Waveform(np.zeros(10)), 64, 64, 16)  # too short for padding
+    # an array gets the checks a Waveform gets
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        stft(np.full(1000, np.nan), 64, 64, 16)
+    with pytest.raises(InvalidInputError, match="1-D"):
+        stft(np.zeros((2, 1000)), 64, 64, 16)
 
 
 def test_hann_window_is_periodic():
