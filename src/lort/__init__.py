@@ -56,7 +56,6 @@ from .objectives import (
 )
 from .signal import (
     ComplexSpec,
-    MagPhase,
     Waveform,
     decompose,
     hann_window,

@@ -10,7 +10,7 @@ and the forward pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -20,8 +20,8 @@ from .arrays import FlopMeter, lsigmoid, silu
 from .errors import InvalidInputError, InvalidParameterError, ShapeError, WeightLookupError
 from .layers import Conv, DenseStack, Norm, PRelu, init_store, manifest_of, zero_store
 from .local_refine import DlcConfig, Lrc, lrc_block
-from .signal import (OLA_FLOOR, SAMPLE_RATE, ComplexSpec, MagPhase, Waveform, decompose,
-                     hann_window, invertible, istft, recompose, stft)
+from .signal import (OLA_FLOOR, SAMPLE_RATE, ComplexSpec, Waveform, angle, decompose,
+                     invertible, istft, recompose, stft)
 from .weights import WeightStore
 
 __all__ = [
@@ -73,7 +73,7 @@ class ModelConfig:
                 f"need 1 <= hop <= win_len <= fft_len, got hop={self.hop}, "
                 f"win_len={self.win_len}, fft_len={self.fft_len}"
             )
-        if not invertible(hann_window(self.win_len), self.hop):
+        if not invertible(self.win_len, self.hop):
             raise InvalidParameterError(
                 f"win_len={self.win_len} with hop={self.hop} is not invertible: the "
                 f"overlap-added squared Hann window falls below {OLA_FLOOR}"
@@ -308,8 +308,7 @@ class PhaseDecoder(Decoder):
         trunk = super().__call__(ws, x)
         r = _fit(self.out_r(ws, trunk), t, f)[:, 0]
         i = _fit(self.out_i(ws, trunk), t, f)[:, 0]
-        ph = np.arctan2(i, r)
-        return np.where(ph <= -np.pi, np.pi, ph)
+        return angle(i, r)
 
 
 class LortModel:
@@ -332,10 +331,6 @@ class LortModel:
         return [name for name, _, _ in self.manifest()]
 
     # -- forward ------------------------------------------------------------
-
-    def features(self, spec: ComplexSpec) -> tuple[np.ndarray, MagPhase]:
-        mp = decompose(spec)
-        return np.stack([mp.mag, mp.phase])[None], mp
 
     def trunk(self, ws, feat: np.ndarray) -> np.ndarray:
         """Encoder through transformer stack back to (B, C, T, enc_bins)."""
@@ -368,12 +363,12 @@ class LortModel:
                                  f"expects {shape}")
         cfg = self.cfg
         spec = stft(noisy, cfg.fft_len, cfg.win_len, cfg.hop)
-        feat, mp = self.features(spec)
+        mag, noisy_phase = decompose(spec)
         t, f = spec.re.shape
-        h = self.trunk(ws, feat)
+        h = self.trunk(ws, np.stack([mag, noisy_phase])[None])
         mask = self.mag_dec.mask(ws, h, t, f)[0]
         phase = self.phase_dec.phase(ws, h, t, f)[0]
-        out_spec = recompose(replace(mp, mag=mask * mp.mag, phase=phase))
+        out_spec = recompose(spec, mask * mag, phase)
         wave = istft(out_spec, len(noisy))
         return ForwardResult(wave=wave, spec=out_spec, mask=mask, phase=phase)
 

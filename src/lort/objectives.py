@@ -5,14 +5,14 @@ non-adversarial term so the numeric verifier can cross-check them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .arrays import sigmoid
 from .errors import InvalidParameterError, ShapeError
 from .model import Discriminator, ModelConfig
-from .signal import ComplexSpec, Waveform, default_out_len, istft, stft
+from .signal import ComplexSpec, Waveform, istft, stft
 
 __all__ = [
     "LossWeights",
@@ -154,8 +154,9 @@ def grad_phase(est_p: np.ndarray, ref_p: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def consistency_project(spec: ComplexSpec) -> ComplexSpec:
     """Resynthesize and re-analyze: the projection onto consistent spectrograms."""
-    wave = istft(spec, default_out_len(spec))
-    return stft(wave, spec.fft_len, spec.win_len, spec.hop, spec.window)
+    # the length whose stft has exactly this spectrogram's frame count
+    wave = istft(spec, (spec.frames - 1) * spec.hop)
+    return stft(wave, spec.fft_len, spec.win_len, spec.hop)
 
 
 def loss_consistency(est: ComplexSpec) -> float:
@@ -177,9 +178,7 @@ def grad_consistency(est: ComplexSpec) -> tuple[np.ndarray, np.ndarray]:
     for j in range(2 * n):
         e = np.zeros(2 * n)
         e[j] = 1.0
-        basis = ComplexSpec(e[:n].reshape(t, f), e[n:].reshape(t, f),
-                            est.fft_len, est.win_len, est.hop, est.window)
-        pr = consistency_project(basis)
+        pr = consistency_project(replace(est, re=e[:n].reshape(t, f), im=e[n:].reshape(t, f)))
         p[:, j] = np.concatenate([pr.re.ravel(), pr.im.ravel()])
     r = x - p @ x
     g = 2.0 / n * (r - p.T @ r)

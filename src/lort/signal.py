@@ -1,13 +1,14 @@
 """WAV ingestion/emission and the STFT / iSTFT analysis-synthesis pipeline.
 
 The transform uses center padding (reflect, win_len // 2 per side), a
-periodic Hann analysis window by default, and weighted overlap-add with
-window-square normalization on the synthesis side.
+periodic Hann window of win_len samples (the only window; every transform
+builds it from win_len), and weighted overlap-add with window-square
+normalization on the synthesis side.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,13 +22,13 @@ from .errors import (
 __all__ = [
     "Waveform",
     "ComplexSpec",
-    "MagPhase",
     "read_wav",
     "write_wav",
     "hann_window",
     "stft",
     "istft",
     "invertible",
+    "angle",
     "decompose",
     "recompose",
     "snr_db",
@@ -57,16 +58,17 @@ class Waveform:
 
 @dataclass
 class ComplexSpec:
-    """One-sided complex spectrogram: real/imag planes of shape (T, F)."""
+    """One-sided complex spectrogram: real/imag planes of shape (T, F) of the
+    Hann-windowed transform (fft_len, win_len, hop), checked as `stft` checks it."""
 
     re: np.ndarray
     im: np.ndarray
     fft_len: int
     win_len: int
     hop: int
-    window: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_params(self.fft_len, self.win_len, self.hop)
         self.re = np.asarray(self.re, dtype=np.float64)
         self.im = np.asarray(self.im, dtype=np.float64)
         if self.re.shape != self.im.shape or self.re.ndim != 2:
@@ -75,27 +77,10 @@ class ComplexSpec:
             raise ShapeError(
                 f"F={self.re.shape[1]} inconsistent with one-sided fft_len={self.fft_len}"
             )
-        self.window = np.asarray(self.window, dtype=np.float64)
-        if self.window.shape != (self.win_len,):
-            raise ShapeError(f"window length {self.window.shape} != win_len {self.win_len}")
 
     @property
     def frames(self) -> int:
         return self.re.shape[0]
-
-    def complex(self) -> np.ndarray:
-        return self.re + 1j * self.im
-
-
-@dataclass
-class MagPhase:
-    mag: np.ndarray
-    phase: np.ndarray
-    # transform metadata carried along so recompose() is self-contained
-    fft_len: int
-    win_len: int
-    hop: int
-    window: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +171,12 @@ def _check_params(fft_len: int, win_len: int, hop: int) -> None:
         raise InvalidInputError(f"hop {hop} exceeds win_len {win_len}")
 
 
-def stft(x: Waveform, fft_len: int, win_len: int, hop: int,
-         window: np.ndarray | None = None) -> ComplexSpec:
+def stft(x: Waveform, fft_len: int, win_len: int, hop: int) -> ComplexSpec:
     """One-sided STFT with reflect center padding of win_len // 2 per side."""
     _check_params(fft_len, win_len, hop)
     s = (x if isinstance(x, Waveform) else Waveform(x)).samples
     if s.size == 0:
         raise InvalidInputError("cannot transform an empty signal")
-    if window is None:
-        window = hann_window(win_len)
     pad = win_len // 2
     if pad >= s.size:
         raise InvalidInputError(
@@ -203,8 +185,8 @@ def stft(x: Waveform, fft_len: int, win_len: int, hop: int,
     # 2 * pad >= win_len - 1 and the signal is non-empty, so at least one frame fits
     sp = np.pad(s, (pad, pad), mode="reflect")
     frames = np.lib.stride_tricks.sliding_window_view(sp, win_len)[:: hop]
-    spec = np.fft.rfft(frames * window, n=fft_len, axis=1)
-    return ComplexSpec(spec.real, spec.imag, fft_len, win_len, hop, window)
+    spec = np.fft.rfft(frames * hann_window(win_len), n=fft_len, axis=1)
+    return ComplexSpec(spec.real, spec.imag, fft_len, win_len, hop)
 
 
 def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -216,20 +198,21 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return out
 
 
-def invertible(window: np.ndarray, hop: int) -> bool:
-    """Whether `istft` can divide by the squared window overlap-added every
-    `hop` samples: its minimum over one steady-state hop period must reach
-    OLA_FLOOR. For a Hann window this decides `istft`'s outcome on any
-    signal longer than the window."""
-    k = -(-window.size // hop)  # frames over one window; frame k-1 starts the steady state
+def invertible(win_len: int, hop: int) -> bool:
+    """Whether `istft` can divide by the squared Hann window overlap-added
+    every `hop` samples: its minimum over one steady-state hop period must
+    reach OLA_FLOOR. This decides `istft`'s outcome on any signal longer
+    than the window."""
+    window = hann_window(win_len)
+    k = -(-win_len // hop)  # frames over one window; frame k-1 starts the steady state
     den = _overlap_add(np.tile(window * window, (k, 1)), hop)
     return bool(den[(k - 1) * hop : k * hop].min() >= OLA_FLOOR)
 
 
 def istft(spec: ComplexSpec, out_len: int) -> Waveform:
     """Weighted overlap-add inverse with window-square normalization."""
-    w = spec.window
-    frames = np.fft.irfft(spec.complex(), n=spec.fft_len, axis=1)[:, : spec.win_len]
+    w = hann_window(spec.win_len)
+    frames = np.fft.irfft(spec.re + 1j * spec.im, n=spec.fft_len, axis=1)[:, : spec.win_len]
     frames = frames * w
     num = _overlap_add(frames, spec.hop)
     den = _overlap_add(np.broadcast_to(w * w, frames.shape), spec.hop)
@@ -245,31 +228,23 @@ def istft(spec: ComplexSpec, out_len: int) -> Waveform:
     return Waveform(y)
 
 
-def default_out_len(spec: ComplexSpec) -> int:
-    """Signal length whose stft() has exactly this spectrogram's frame count."""
-    return (spec.frames - 1) * spec.hop
-
-
 # ---------------------------------------------------------------------------
 # Polar decomposition
 
-def decompose(spec: ComplexSpec) -> MagPhase:
-    """Magnitude sqrt(re^2 + im^2) and phase atan2(im, re) in (-pi, pi]."""
-    mag = np.hypot(spec.re, spec.im)
-    phase = np.arctan2(spec.im, spec.re)
-    phase = np.where(phase <= -np.pi, np.pi, phase)
-    return MagPhase(mag, phase, spec.fft_len, spec.win_len, spec.hop, spec.window)
+def angle(im: np.ndarray, re: np.ndarray) -> np.ndarray:
+    """atan2(im, re) folded into (-pi, pi]: -pi reads as pi."""
+    phase = np.arctan2(im, re)
+    return np.where(phase <= -np.pi, np.pi, phase)
 
 
-def recompose(mp: MagPhase) -> ComplexSpec:
-    return ComplexSpec(
-        mp.mag * np.cos(mp.phase),
-        mp.mag * np.sin(mp.phase),
-        mp.fft_len,
-        mp.win_len,
-        mp.hop,
-        mp.window,
-    )
+def decompose(spec: ComplexSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitude sqrt(re^2 + im^2) and phase `angle(im, re)` planes."""
+    return np.hypot(spec.re, spec.im), angle(spec.im, spec.re)
+
+
+def recompose(spec: ComplexSpec, mag: np.ndarray, phase: np.ndarray) -> ComplexSpec:
+    """The spectrum of `spec`'s transform with the given magnitude and phase."""
+    return replace(spec, re=mag * np.cos(phase), im=mag * np.sin(phase))
 
 
 def snr_db(ref: np.ndarray, est: np.ndarray) -> float:

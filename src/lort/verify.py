@@ -4,6 +4,7 @@ gradient-free SPSA trainer for the synthetic micro task.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -31,7 +32,7 @@ from .objectives import (
     loss_phase,
     loss_ri,
 )
-from .signal import ComplexSpec, Waveform, hann_window, stft
+from .signal import ComplexSpec, Waveform, stft
 from .weights import WeightStore
 
 __all__ = [
@@ -110,7 +111,6 @@ def gradcheck_losses(seed: int = 0, instances: int = 20, size: int = 8) -> GradC
     """Analytic-vs-numeric comparison for every differentiable loss term."""
     rng = np.random.default_rng(seed)
     fft_len = 2 * (size - 1)
-    win = hann_window(fft_len)
     hop = fft_len // 2
     worst, where, n_checked = 0.0, "none", 0
 
@@ -126,14 +126,14 @@ def gradcheck_losses(seed: int = 0, instances: int = 20, size: int = 8) -> GradC
     for inst in range(instances):
         shape = (size, size)
         mk = lambda: rng.standard_normal(shape)  # noqa: E731
-        est = ComplexSpec(mk(), mk(), fft_len, fft_len, hop, win)
-        ref = ComplexSpec(mk(), mk(), fft_len, fft_len, hop, win)
+        est = ComplexSpec(mk(), mk(), fft_len, fft_len, hop)
+        ref = ComplexSpec(mk(), mk(), fft_len, fft_len, hop)
 
         gre, gim = grad_ri(est, ref)
         track("l_ri.re", inst, gre,
-              finite_diff(lambda a: loss_ri(ComplexSpec(a, est.im, fft_len, fft_len, hop, win), ref), est.re))
+              finite_diff(lambda a: loss_ri(ComplexSpec(a, est.im, fft_len, fft_len, hop), ref), est.re))
         track("l_ri.im", inst, gim,
-              finite_diff(lambda a: loss_ri(ComplexSpec(est.re, a, fft_len, fft_len, hop, win), ref), est.im))
+              finite_diff(lambda a: loss_ri(ComplexSpec(est.re, a, fft_len, fft_len, hop), ref), est.im))
 
         em, rm = np.abs(mk()), np.abs(mk())
         track("l_mag", inst, grad_mag(em, rm), finite_diff(lambda a: loss_mag(a, rm), em))
@@ -146,9 +146,9 @@ def gradcheck_losses(seed: int = 0, instances: int = 20, size: int = 8) -> GradC
 
         cre, cim = grad_consistency(est)
         track("l_con.re", inst, cre,
-              finite_diff(lambda a: loss_consistency(ComplexSpec(a, est.im, fft_len, fft_len, hop, win)), est.re))
+              finite_diff(lambda a: loss_consistency(ComplexSpec(a, est.im, fft_len, fft_len, hop)), est.re))
         track("l_con.im", inst, cim,
-              finite_diff(lambda a: loss_consistency(ComplexSpec(est.re, a, fft_len, fft_len, hop, win)), est.im))
+              finite_diff(lambda a: loss_consistency(ComplexSpec(est.re, a, fft_len, fft_len, hop)), est.im))
 
     return GradCheckResult(max_rel_err=worst, argmax_location=where, n_checked=n_checked)
 
@@ -182,6 +182,8 @@ def taylor_error_sweep(scales=(1e-1, 1e-2, 1e-3), trials: int = 20,
     base draws are reused across scales so each trial's error curve is
     monotone in the scale.
     """
+    if not isinstance(trials, int) or trials < 1:
+        raise InvalidParameterError(f"trials must be an int >= 1, got {trials!r}")
     scales = tuple(float(s) for s in scales)
     if any(s <= 0 for s in scales) or any(b >= a for a, b in zip(scales, scales[1:])):
         raise InvalidParameterError(f"scales must be positive and descending, got {scales}")
@@ -223,10 +225,12 @@ class SpsaConfig:
     smooth_window: ClassVar[int] = 10
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise InvalidParameterError(f"iterations must be >= 1, got {self.iterations}")
-        if self.c <= 0 or self.a < 0:
-            raise InvalidParameterError(f"need c > 0 and a >= 0, got c={self.c}, a={self.a}")
+        if not isinstance(self.iterations, int) or self.iterations < 1:
+            raise InvalidParameterError(f"iterations must be an int >= 1, got {self.iterations!r}")
+        if not 0 < self.c < math.inf:
+            raise InvalidParameterError(f"c must be finite and > 0, got {self.c}")
+        if not 0 <= self.a < math.inf:
+            raise InvalidParameterError(f"a must be finite and >= 0, got {self.a}")
 
 
 @dataclass
@@ -247,8 +251,11 @@ def micro_config() -> ModelConfig:
 def make_toy_task(cfg: ModelConfig, seed: int = 0,
                   duration_s: float = 0.25) -> tuple[Waveform, Waveform]:
     """Synthetic denoising pair: harmonic tone mixture + white noise at 0 dB."""
+    n = int(round(duration_s * cfg.sample_rate)) if 0 < duration_s < math.inf else 0
+    if n < 1:
+        raise InvalidParameterError(
+            f"duration_s must be finite and hold at least one sample, got {duration_s}")
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * cfg.sample_rate))
     t = np.arange(n) / cfg.sample_rate
     clean = np.zeros(n)
     for i, f0 in enumerate((220.0, 440.0, 660.0)):

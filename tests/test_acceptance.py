@@ -20,7 +20,7 @@ from lort.model import (
     zero_weights,
 )
 from lort.objectives import consistency_project, loss_consistency, loss_phase, total_loss
-from lort.signal import ComplexSpec, Waveform, hann_window, istft, snr_db, stft
+from lort.signal import ComplexSpec, Waveform, istft, snr_db, stft
 from lort.verify import (
     gradcheck_losses,
     spsa_train,
@@ -89,11 +89,10 @@ def test_criterion_04_consistency_loss():
     for seed in range(3):
         wf = Waveform(np.random.default_rng(seed).standard_normal(3200))
         assert loss_consistency(stft(wf, 64, 64, 16)) <= 1e-10
-    win = hann_window(64)
     positives = 0
     for _ in range(100):
         spec = ComplexSpec(rng.standard_normal((20, 33)), rng.standard_normal((20, 33)),
-                           64, 64, 16, win)
+                           64, 64, 16)
         if loss_consistency(spec) > 0:
             positives += 1
         assert loss_consistency(consistency_project(spec)) <= 1e-10

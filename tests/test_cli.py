@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lort
 from lort.cli import _build_parser, _cfg_from, run
 from lort.model import ModelConfig
 from lort.signal import Waveform, read_wav, write_wav
@@ -28,6 +34,26 @@ def test_sweep_emits_csv_with_slope(capsys):
     assert lines[0] == "scale,max_err"
     assert len(lines) == 5 and lines[-1].startswith("slope,")
     assert 1.7 <= float(lines[-1].split(",")[1]) <= 2.3
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_sweep_rejects_a_count_without_trials(trials, capsys):
+    assert run(["sweep", "--trials", trials]) == 2
+    assert "trials must be an int >= 1" in capsys.readouterr().err
+
+
+def test_train_toy_rejects_a_nan_step(capsys):
+    assert run(["train-toy", "--iterations", "2", "--step", "nan"]) == 2
+    assert "a must be finite" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_cli():
+    # `python -m lort.cli` runs the CLI as the `lort` script does
+    env = dict(os.environ, PYTHONPATH=str(Path(lort.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "lort.cli", "sweep", "--trials", "0"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "trials" in proc.stderr
 
 
 def test_init_weights_then_enhance_roundtrip(tmp_path, capsys):

@@ -1,16 +1,23 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import lort
+from lort import signal
 from lort.errors import (
     InvalidInputError,
     LortError,
     NonInvertibleWindowError,
+    ShapeError,
     WavParseError,
 )
 from lort.signal import (
     ComplexSpec,
     Waveform,
+    angle,
     decompose,
     hann_window,
     invertible,
@@ -133,8 +140,9 @@ def test_linearity_of_stft():
 
 
 def test_istft_non_invertible_window_raises():
+    # a Hann window overlap-added once per window length is zero at each frame start
     wf = make_noise(4000)
-    spec = stft(wf, 64, 64, 16, window=np.zeros(64))
+    spec = stft(wf, 64, 64, 64)
     with pytest.raises(NonInvertibleWindowError):
         istft(spec, len(wf))
 
@@ -152,7 +160,7 @@ def test_invertible_predicts_istft_on_hann_windows():
                 ran = True
             except NonInvertibleWindowError:
                 ran = False
-            assert invertible(hann_window(win_len), hop) == ran, (win_len, hop)
+            assert invertible(win_len, hop) == ran, (win_len, hop)
             outcomes.add(ran)
     assert outcomes == {True, False}
 
@@ -187,17 +195,42 @@ def test_hann_window_is_periodic():
 
 def test_decompose_recompose_roundtrip():
     spec = stft(make_noise(3000, seed=6), 64, 64, 16)
-    mp = decompose(spec)
-    assert np.all(mp.mag >= 0)
-    assert np.all((mp.phase > -np.pi) & (mp.phase <= np.pi))
-    back = recompose(mp)
+    mag, phase = decompose(spec)
+    assert np.all(mag >= 0)
+    assert np.all((phase > -np.pi) & (phase <= np.pi))
+    back = recompose(spec, mag, phase)
+    assert (back.fft_len, back.win_len, back.hop) == (64, 64, 16)
     npt.assert_allclose(back.re, spec.re, atol=1e-12)
     npt.assert_allclose(back.im, spec.im, atol=1e-12)
 
 
+def test_angle_folds_minus_pi_to_pi():
+    im = np.array([-0.0, 0.0, 1.0, -1.0])
+    re = np.array([-1.0, -1.0, 0.0, 0.0])
+    npt.assert_array_equal(angle(im, re), [np.pi, np.pi, np.pi / 2, -np.pi / 2])
+
+
 def test_complex_spec_shape_validation():
-    from lort.errors import ShapeError
     with pytest.raises(ShapeError):
-        ComplexSpec(np.zeros((4, 10)), np.zeros((4, 10)), 64, 64, 16, hann_window(64))
+        ComplexSpec(np.zeros((4, 10)), np.zeros((4, 10)), 64, 64, 16)
     with pytest.raises(ShapeError):
-        ComplexSpec(np.zeros((4, 33)), np.zeros((5, 33)), 64, 64, 16, hann_window(64))
+        ComplexSpec(np.zeros((4, 33)), np.zeros((5, 33)), 64, 64, 16)
+
+
+@pytest.mark.parametrize("fft_len, win_len, hop, match", [
+    (14, 20, 7, "win_len 20 exceeds fft_len 14"),
+    (14, 14, 0, "hop must be positive, got 0"),
+    (14, 14, -3, "hop must be positive, got -3"),
+])
+def test_complex_spec_rejects_a_transform_istft_cannot_run(fft_len, win_len, hop, match):
+    with pytest.raises(InvalidInputError, match=match):
+        ComplexSpec(np.zeros((4, 8)), np.zeros((4, 8)), fft_len, win_len, hop)
+
+
+def test_spectrum_surface_is_pinned():
+    # the window is Hann of win_len by construction, so no spectrum carries one
+    assert [f.name for f in dataclasses.fields(ComplexSpec)] == [
+        "re", "im", "fft_len", "win_len", "hop"]
+    assert list(inspect.signature(stft).parameters) == ["x", "fft_len", "win_len", "hop"]
+    assert list(inspect.signature(invertible).parameters) == ["win_len", "hop"]
+    assert not hasattr(signal, "MagPhase") and not hasattr(lort, "MagPhase")

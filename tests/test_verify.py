@@ -60,6 +60,12 @@ def test_taylor_error_sweep_slope_and_monotonicity():
         taylor_error_sweep(scales=(1e-3, 1e-2))
 
 
+@pytest.mark.parametrize("trials", [0, -1, 2.5])
+def test_taylor_error_sweep_needs_a_trial(trials):
+    with pytest.raises(InvalidParameterError, match=r"trials must be an int >= 1"):
+        taylor_error_sweep(trials=trials)
+
+
 def test_make_toy_task_is_zero_db_and_deterministic():
     cfg = micro_config()
     noisy, clean = make_toy_task(cfg, seed=5)
@@ -68,6 +74,12 @@ def test_make_toy_task_is_zero_db_and_deterministic():
     noise = noisy.samples - clean.samples
     snr = 10 * np.log10(np.sum(clean.samples**2) / np.sum(noise**2))
     assert abs(snr) < 0.5
+
+
+@pytest.mark.parametrize("duration_s", [-1.0, 0.0, 1e-5, np.nan, np.inf])
+def test_make_toy_task_rejects_a_duration_without_samples(duration_s):
+    with pytest.raises(InvalidParameterError, match=r"duration_s must be finite and hold"):
+        make_toy_task(micro_config(), duration_s=duration_s)
 
 
 def test_spsa_zero_step_keeps_trajectory_constant():
@@ -88,6 +100,14 @@ def test_spsa_config_validation():
         SpsaConfig(c=0.0)
     with pytest.raises(InvalidParameterError):
         SpsaConfig(a=-1.0)
+    # NaN compares false both ways, so each bound names its field
+    for kwargs, match in [(dict(a=np.nan), r"a must be finite and >= 0, got nan"),
+                          (dict(a=np.inf), r"a must be finite and >= 0, got inf"),
+                          (dict(c=np.inf), r"c must be finite and > 0, got inf"),
+                          (dict(c=np.nan), r"c must be finite and > 0, got nan"),
+                          (dict(iterations=2.5), r"iterations must be an int >= 1, got 2\.5")]:
+        with pytest.raises(InvalidParameterError, match=match):
+            SpsaConfig(**kwargs)
 
 
 def test_table2_trend_reports_micro_rows():
