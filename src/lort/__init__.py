@@ -32,7 +32,7 @@ from .errors import (
     WeightFormatError,
     WeightLookupError,
 )
-from .local_refine import DlcConfig, Dlc, Lrc, cfn, dlc_receptive_field, lrc_block, tf_dlc
+from .local_refine import Dlc, Lrc, cfn, lrc_block, tf_dlc
 from .model import (
     ForwardResult,
     ModelConfig,

@@ -24,12 +24,11 @@ __all__ = [
 
 @dataclass
 class AttentionInput:
-    """Per-head query/key/value stacks of shape (H, N, Dh) on a t x f grid."""
+    """Per-head query/key/value stacks of one shared (H, N, Dh) shape."""
 
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    grid: tuple[int, int]
 
     def __post_init__(self) -> None:
         self.q = np.asarray(self.q, dtype=np.float64)
@@ -39,9 +38,6 @@ class AttentionInput:
             raise ShapeError(
                 f"q/k/v must share an (H, N, Dh) shape: {self.q.shape}, {self.k.shape}, {self.v.shape}"
             )
-        t, f = self.grid
-        if t * f != self.q.shape[1]:
-            raise ShapeError(f"grid {self.grid} does not tile N={self.q.shape[1]} patches")
 
 
 @dataclass(frozen=True)

@@ -3,41 +3,13 @@ time/frequency dense local convolutions, and the gated residual unit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arrays import sigmoid, silu
-from .errors import InvalidSpecError, ShapeError
+from .errors import ShapeError
 from .layers import Conv, DenseStack, Norm, PRelu, manifest_of
 
-__all__ = ["DlcConfig", "Dlc", "Lrc", "cfn", "tf_dlc", "lrc_block", "dlc_receptive_field"]
-
-
-@dataclass(frozen=True)
-class DlcConfig:
-    depth: int = 2
-    dilation_base: int = 2
-    kernel: int = 19
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise InvalidSpecError(f"depth must be >= 1, got {self.depth}")
-        if self.dilation_base < 1:
-            raise InvalidSpecError(f"dilation_base must be >= 1, got {self.dilation_base}")
-        if not isinstance(self.kernel, int) or self.kernel < 1 or self.kernel % 2 == 0:
-            raise InvalidSpecError(
-                f"kernel extent along the convolved axis must be an odd int, got {self.kernel!r}"
-            )
-
-    def layer_dilation(self, layer: int) -> int:
-        """Dilation of 1-indexed layer: dilation_base ** layer (2, 4 at depth 2)."""
-        return self.dilation_base**layer
-
-
-def dlc_receptive_field(cfg: DlcConfig) -> int:
-    """Closed-form impulse-response support along the convolved axis."""
-    return 1 + sum((cfg.kernel - 1) * cfg.layer_dilation(j) for j in range(1, cfg.depth + 1))
+__all__ = ["Dlc", "Lrc", "cfn", "tf_dlc", "lrc_block"]
 
 
 # (T, F) extents of an axial kernel or dilation of size n along each axis
@@ -47,23 +19,24 @@ _ALONG = {"time": lambda n: (n, 1), "frequency": lambda n: (1, n)}
 class Dlc:
     """Dense local convolution along one axis: pointwise layers sandwiching a
     dense stack of dilated axial convolutions, with a residual from the input.
+    Layer j (1-indexed) reads the j maps before it and convolves with kernel
+    KERNEL at dilation DILATIONS[j - 1] along `axis`.
     """
 
-    def __init__(self, name, channels, cfg: DlcConfig, axis: str):
+    KERNEL = 19
+    DILATIONS = (2, 4)
+
+    def __init__(self, name, channels, axis: str):
         c, along = channels, _ALONG[axis]
         self.pw_in = Conv(f"{name}.pw_in", c, c, (1, 1))
         self.pw_out = Conv(f"{name}.pw_out", c, c, (1, 1))
-        layers = []
-        for j in range(1, cfg.depth + 1):
-            base = f"{name}.layer{j}"
-            layers.append((
-                Conv(f"{base}.compress", c * j, c, (1, 1)),
-                Conv(f"{base}.conv", c, c, along(cfg.kernel),
-                     dilation=along(cfg.layer_dilation(j))),
-                Norm(f"{base}.norm", c, "instance"),
-                PRelu(f"{base}.act", c),
-            ))
-        self.dense = DenseStack(layers)
+        self.dense = DenseStack(
+            (Conv(f"{name}.layer{j}.compress", c * j, c, (1, 1)),
+             Conv(f"{name}.layer{j}.conv", c, c, along(self.KERNEL), dilation=along(d)),
+             Norm(f"{name}.layer{j}.norm", c, "instance"),
+             PRelu(f"{name}.layer{j}.act", c))
+            for j, d in enumerate(self.DILATIONS, start=1)
+        )
 
     def manifest(self):
         yield from manifest_of(self.pw_in, self.pw_out, self.dense)
@@ -78,13 +51,13 @@ class Lrc:
     """Locally refined convolution: a CFN gate over a time DLC then a
     frequency DLC. Applied by `lrc_block`."""
 
-    def __init__(self, name, channels, cfg: DlcConfig):
+    def __init__(self, name, channels):
         c = channels
         self.ln = Norm(f"{name}.cfn.ln", c, "layer")
         self.pw = Conv(f"{name}.cfn.pw", c, c, (1, 1))
         self.dw = Conv(f"{name}.cfn.dw", c, c, (3, 3), groups=c)
-        self.dlc_t = Dlc(f"{name}.dlc_t", c, cfg, "time")
-        self.dlc_f = Dlc(f"{name}.dlc_f", c, cfg, "frequency")
+        self.dlc_t = Dlc(f"{name}.dlc_t", c, "time")
+        self.dlc_f = Dlc(f"{name}.dlc_f", c, "frequency")
 
     def manifest(self):
         yield from manifest_of(self.ln, self.pw, self.dw, self.dlc_t, self.dlc_f)

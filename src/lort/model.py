@@ -19,7 +19,7 @@ from . import attention as att
 from .arrays import FlopMeter, lsigmoid, silu
 from .errors import InvalidInputError, InvalidParameterError, ShapeError, WeightLookupError
 from .layers import Conv, DenseStack, Norm, PRelu, init_store, manifest_of, zero_store
-from .local_refine import DlcConfig, Lrc, lrc_block
+from .local_refine import Lrc, lrc_block
 from .signal import (OLA_FLOOR, SAMPLE_RATE, ComplexSpec, Waveform, angle, decompose,
                      invertible, istft, recompose, stft)
 from .weights import WeightStore
@@ -51,7 +51,6 @@ class ModelConfig:
 
     heads: ClassVar[int] = 4
     densenet_dilations: ClassVar[tuple[int, ...]] = (1, 2, 4, 8)
-    dlc: ClassVar[DlcConfig] = DlcConfig()
     sample_rate: ClassVar[int] = SAMPLE_RATE
     loss_weights: ClassVar[tuple[float, ...]] = (0.1, 0.9, 0.3, 0.1, 0.05)
 
@@ -235,7 +234,7 @@ class Lrtt:
         self.scea_ch = Conv(f"{prefix}.scea.ch", 1, 1, (3, 1), padding=(1, 0))
         self.scea_sp = Conv(f"{prefix}.scea.sp", 2, 1, (5, 5))
         self.ffn = Ffn(f"{prefix}.ffn", c)
-        self.lrc = Lrc(f"{prefix}.lrc", c, cfg.dlc)
+        self.lrc = Lrc(f"{prefix}.lrc", c)
 
     def manifest(self):
         yield from manifest_of(self.ln1, *self.qkv.values(), self.msar_local,
@@ -250,7 +249,7 @@ class Lrtt:
             # (B, C, T, F) -> (B*H, T*F, C/H), head-major channel layout
             return m.reshape(b * self.heads, c // self.heads, t * f).transpose(0, 2, 1)
 
-        vp = att.taylor_attention(att.AttentionInput(heads(qm), heads(km), heads(vm), (t, f)))
+        vp = att.taylor_attention(att.AttentionInput(heads(qm), heads(km), heads(vm)))
         vp = vp.transpose(0, 2, 1).reshape(b, c, t, f)
         return self.qkv["out"](ws, att.msar_correct(qm, km, vm, vp, ws, self.msar_local,
                                                     self.msar_gate))

@@ -104,15 +104,19 @@ def grad_mag(est_m: np.ndarray, ref_m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Anti-wrapped phase terms
 
+def _wrap(x: np.ndarray) -> np.ndarray:
+    """x - 2*pi*round(x / 2*pi): x moved by whole turns into [-pi, pi]."""
+    return x - _TWO_PI * np.round(x / _TWO_PI)
+
+
 def anti_wrap(x):
     """f_AW(x) = |x - 2*pi*round(x / 2*pi)|; periodic, range [0, pi]."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.abs(x - _TWO_PI * np.round(x / _TWO_PI))
+    return np.abs(_wrap(np.asarray(x, dtype=np.float64)))
 
 
 def _aw_sign(x: np.ndarray) -> np.ndarray:
     """Derivative of anti_wrap; subgradient 0 at the wrap points."""
-    return np.sign(x - _TWO_PI * np.round(x / _TWO_PI))
+    return np.sign(_wrap(x))
 
 
 def loss_phase(est_p: np.ndarray, ref_p: np.ndarray) -> tuple[float, float, float, float]:

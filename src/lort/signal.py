@@ -163,6 +163,9 @@ def hann_window(n: int) -> np.ndarray:
 
 
 def _check_params(fft_len: int, win_len: int, hop: int) -> None:
+    for name, value in (("fft_len", fft_len), ("win_len", win_len), ("hop", hop)):
+        if not isinstance(value, (int, np.integer)):
+            raise InvalidInputError(f"{name} must be an int, got {value!r}")
     if hop <= 0:
         raise InvalidInputError(f"hop must be positive, got {hop}")
     if win_len > fft_len:
@@ -203,6 +206,9 @@ def invertible(win_len: int, hop: int) -> bool:
     every `hop` samples: its minimum over one steady-state hop period must
     reach OLA_FLOOR. This decides `istft`'s outcome on any signal longer
     than the window."""
+    for name, value in (("win_len", win_len), ("hop", hop)):
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise InvalidInputError(f"{name} must be an int >= 1, got {value!r}")
     window = hann_window(win_len)
     k = -(-win_len // hop)  # frames over one window; frame k-1 starts the steady state
     den = _overlap_add(np.tile(window * window, (k, 1)), hop)
@@ -211,6 +217,8 @@ def invertible(win_len: int, hop: int) -> bool:
 
 def istft(spec: ComplexSpec, out_len: int) -> Waveform:
     """Weighted overlap-add inverse with window-square normalization."""
+    if not isinstance(out_len, (int, np.integer)) or out_len < 0:
+        raise InvalidInputError(f"out_len must be an int >= 0, got {out_len!r}")
     w = hann_window(spec.win_len)
     frames = np.fft.irfft(spec.re + 1j * spec.im, n=spec.fft_len, axis=1)[:, : spec.win_len]
     frames = frames * w

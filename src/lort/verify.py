@@ -22,6 +22,7 @@ from .model import (
     init_weights,
 )
 from .objectives import (
+    anti_wrap,
     evaluate_losses,
     grad_consistency,
     grad_mag,
@@ -86,14 +87,13 @@ _GC_MARGIN = 1e-3  # exclusion radius around anti-wrap non-smooth points
 
 def _safe_phases(rng: np.random.Generator, shape) -> tuple[np.ndarray, np.ndarray]:
     """Phase pair whose raw and first-difference gaps avoid wrap points."""
-    two_pi = 2.0 * np.pi
     for _ in range(500):
         ref = rng.uniform(-np.pi, np.pi, shape)
         est = ref + rng.uniform(-3.0, 3.0, shape)
         d = est - ref
         ok = True
         for q in (d, np.diff(d, axis=0), np.diff(d, axis=1)):
-            w = np.abs(q - two_pi * np.round(q / two_pi))
+            w = anti_wrap(q)
             if np.any(w < _GC_MARGIN) or np.any(np.pi - w < _GC_MARGIN):
                 ok = False
                 break
@@ -109,6 +109,10 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
 
 def gradcheck_losses(seed: int = 0, instances: int = 20, size: int = 8) -> GradCheckResult:
     """Analytic-vs-numeric comparison for every differentiable loss term."""
+    if not isinstance(instances, int) or instances < 1:
+        raise InvalidParameterError(f"instances must be an int >= 1, got {instances!r}")
+    if not isinstance(size, int) or size < 3:
+        raise InvalidParameterError(f"size must be an int >= 3, got {size!r}")
     rng = np.random.default_rng(seed)
     fft_len = 2 * (size - 1)
     hop = fft_len // 2
@@ -156,12 +160,12 @@ def gradcheck_losses(seed: int = 0, instances: int = 20, size: int = 8) -> GradC
 # ---------------------------------------------------------------------------
 # Taylor approximation quality
 
-def taylor_reference(ain: AttentionInput, normalize: bool = True) -> np.ndarray:
-    """Brute-force Taylor attention with the N x N weight matrix formed."""
-    q, k, v = ain.q, ain.k, ain.v
-    if normalize:
-        q = q / np.maximum(np.linalg.norm(q, axis=-1, keepdims=True), 1e-30)
-        k = k / np.maximum(np.linalg.norm(k, axis=-1, keepdims=True), 1e-30)
+def taylor_reference(ain: AttentionInput) -> np.ndarray:
+    """Brute-force Taylor attention, rows of q and k L2-normalized, with the
+    N x N weight matrix formed."""
+    q = ain.q / np.maximum(np.linalg.norm(ain.q, axis=-1, keepdims=True), 1e-30)
+    k = ain.k / np.maximum(np.linalg.norm(ain.k, axis=-1, keepdims=True), 1e-30)
+    v = ain.v
     w = 1.0 + np.einsum("hid,hjd->hij", q, k)
     w = w / w.sum(axis=-1, keepdims=True)
     return np.einsum("hij,hjd->hid", w, v)
@@ -185,8 +189,10 @@ def taylor_error_sweep(scales=(1e-1, 1e-2, 1e-3), trials: int = 20,
     if not isinstance(trials, int) or trials < 1:
         raise InvalidParameterError(f"trials must be an int >= 1, got {trials!r}")
     scales = tuple(float(s) for s in scales)
-    if any(s <= 0 for s in scales) or any(b >= a for a, b in zip(scales, scales[1:])):
-        raise InvalidParameterError(f"scales must be positive and descending, got {scales}")
+    if (len(scales) < 2 or not all(0 < s < math.inf for s in scales)
+            or any(b >= a for a, b in zip(scales, scales[1:]))):
+        raise InvalidParameterError(
+            f"scales must be two or more finite values > 0, descending, got {scales}")
     rng = np.random.default_rng(seed)
     h, n, dh = 2, 32, 8
     draws = []
@@ -199,7 +205,7 @@ def taylor_error_sweep(scales=(1e-1, 1e-2, 1e-3), trials: int = 20,
     for s in scales:
         err = 0.0
         for q, k, v in draws:
-            ain = AttentionInput(s * q, k, v, (4, 8))
+            ain = AttentionInput(s * q, k, v)
             diff = taylor_attention(ain, normalize=False) - softmax_attention(ain, scale=1.0)
             err = max(err, float(np.abs(diff).max()))
         points.append((s, err))

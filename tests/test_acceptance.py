@@ -61,7 +61,7 @@ def test_criterion_02_taylor_linearization_and_error_order():
         n = grid[0] * grid[1]
         ain = AttentionInput(rng.standard_normal((2, n, 6)),
                              rng.standard_normal((2, n, 6)),
-                             rng.standard_normal((2, n, 6)), grid)
+                             rng.standard_normal((2, n, 6)))
         npt.assert_allclose(taylor_attention(ain), taylor_reference(ain), atol=1e-10)
     sweep = taylor_error_sweep(scales=(1e-1, 1e-2, 1e-3), trials=20, seed=0)
     assert abs(sweep.slope - 2.0) <= 0.3
@@ -133,7 +133,7 @@ def test_criterion_07_residual_skeleton_identity():
     rng = np.random.default_rng(4)
     c = cfg.block_channels
     x = rng.standard_normal((1, c, 10, 9))
-    lrc = Lrc("lrc", c, cfg.dlc)
+    lrc = Lrc("lrc", c)
     zeros = zero_store(lrc.manifest())
     npt.assert_array_equal(cfn(lrc, zeros, x), x)
     npt.assert_array_equal(lrc.dlc_t(zeros, x), x)
@@ -176,7 +176,7 @@ def test_criterion_08_receptive_fields():
     assert t_support == 31 and f_support == 31
 
     c = cfg.block_channels
-    lrc = Lrc("lrc", c, cfg.dlc)
+    lrc = Lrc("lrc", c)
     ws_lrc = init_store(lrc.manifest(), seed=7)
     xi = np.zeros((1, c, 128, 3))
     xi[0, :, 64, 1] = 1.0

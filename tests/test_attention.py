@@ -22,14 +22,14 @@ def random_input(h=2, t=4, f=8, dh=6, seed=0):
     n = t * f
     return AttentionInput(rng.standard_normal((h, n, dh)),
                           rng.standard_normal((h, n, dh)),
-                          rng.standard_normal((h, n, dh)), (t, f))
+                          rng.standard_normal((h, n, dh)))
 
 
 def test_attention_input_validation():
     with pytest.raises(ShapeError):
-        AttentionInput(np.zeros((2, 8, 4)), np.zeros((2, 8, 4)), np.zeros((2, 9, 4)), (2, 4))
+        AttentionInput(np.zeros((2, 8, 4)), np.zeros((2, 8, 4)), np.zeros((2, 9, 4)))
     with pytest.raises(ShapeError):
-        AttentionInput(np.zeros((2, 8, 4)), np.zeros((2, 8, 4)), np.zeros((2, 8, 4)), (3, 4))
+        AttentionInput(np.zeros((8, 4)), np.zeros((8, 4)), np.zeros((8, 4)))
 
 
 def test_taylor_matches_bruteforce_reference():
@@ -40,7 +40,7 @@ def test_taylor_matches_bruteforce_reference():
 
 def test_zero_query_reduces_to_row_mean():
     ain = random_input(seed=1)
-    zero_q = AttentionInput(np.zeros_like(ain.q), ain.k, ain.v, ain.grid)
+    zero_q = AttentionInput(np.zeros_like(ain.q), ain.k, ain.v)
     mean = np.broadcast_to(ain.v.mean(axis=1, keepdims=True), ain.v.shape)
     npt.assert_allclose(taylor_attention(zero_q, normalize=False), mean, atol=1e-12)
     npt.assert_allclose(softmax_attention(zero_q, scale=1.0), mean, atol=1e-12)
@@ -60,7 +60,7 @@ def test_degenerate_taylor_denominator_raises():
     q[..., 0] = 1.0
     k = -q
     with pytest.raises(DegenerateAttentionError):
-        taylor_attention(AttentionInput(q, k, np.ones((1, n, dh)), (2, 3)))
+        taylor_attention(AttentionInput(q, k, np.ones((1, n, dh))))
 
 
 def msar_params(c, seed=None):
@@ -85,9 +85,9 @@ def to_map(x, grid):
     return x.transpose(0, 2, 1).reshape(1, h * dh, *grid)
 
 
-def msar_maps(ain):
+def msar_maps(ain, grid=(4, 8)):
     vp = taylor_attention(ain)
-    return [to_map(x, ain.grid) for x in (ain.q, ain.k, ain.v, vp)]
+    return [to_map(x, grid) for x in (ain.q, ain.k, ain.v, vp)]
 
 
 def test_msar_zero_params_is_identity_on_vprime():

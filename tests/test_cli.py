@@ -42,6 +42,12 @@ def test_sweep_rejects_a_count_without_trials(trials, capsys):
     assert "trials must be an int >= 1" in capsys.readouterr().err
 
 
+def test_sweep_rejects_a_single_scale(capsys):
+    # one point fits no slope
+    assert run(["sweep", "--scales", "0.1"]) == 2
+    assert "scales must be two or more finite" in capsys.readouterr().err
+
+
 def test_train_toy_rejects_a_nan_step(capsys):
     assert run(["train-toy", "--iterations", "2", "--step", "nan"]) == 2
     assert "a must be finite" in capsys.readouterr().err

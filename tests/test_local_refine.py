@@ -1,34 +1,16 @@
 import numpy as np
 import numpy.testing as npt
-import pytest
 
-from lort.errors import InvalidSpecError
 from lort.layers import init_store, zero_store
-from lort.local_refine import DlcConfig, Lrc, cfn, dlc_receptive_field, lrc_block, tf_dlc
+from lort.local_refine import Lrc, cfn, lrc_block, tf_dlc
 
 
 C = 6
-LRC = Lrc("lrc", C, DlcConfig())
+LRC = Lrc("lrc", C)
 
 
 def lrc_manifest():
     return list(LRC.manifest())
-
-
-def test_dlc_config_validation():
-    with pytest.raises(InvalidSpecError):
-        DlcConfig(depth=0)
-    with pytest.raises(InvalidSpecError):
-        DlcConfig(kernel=18)
-    with pytest.raises(InvalidSpecError):
-        DlcConfig(kernel=(19, 1))
-    cfg = DlcConfig()
-    assert (cfg.layer_dilation(1), cfg.layer_dilation(2)) == (2, 4)
-
-
-def test_receptive_field_closed_form():
-    assert dlc_receptive_field(DlcConfig()) == 1 + 18 * (2 + 4)
-    assert dlc_receptive_field(DlcConfig(depth=3, dilation_base=1, kernel=3)) == 7
 
 
 def test_zero_weights_make_each_piece_identity():

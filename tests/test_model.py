@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import numpy.testing as npt
@@ -24,7 +27,10 @@ from lort.model import (
     init_weights,
     zero_weights,
 )
-from lort.local_refine import DlcConfig
+import lort
+from lort import local_refine
+from lort.attention import AttentionInput
+from lort.local_refine import Dlc, Lrc
 from lort.objectives import LossWeights, SegmentalSnrOracle, discriminate
 from lort.verify import SpsaConfig, micro_config, table2_trend
 from lort.signal import Waveform, decompose, istft, recompose, snr_db, stft
@@ -71,10 +77,10 @@ def test_settable_surface_is_pinned():
     # the fixed settings stay readable from a config
     cfg = micro_config()
     assert cfg.heads == 4 and cfg.densenet_dilations == (1, 2, 4, 8)
-    assert cfg.dlc == DlcConfig() and cfg.sample_rate == 16000
+    assert cfg.sample_rate == 16000
     assert LossWeights(*cfg.loss_weights) == LossWeights()
     for name, value in [("heads", 2), ("sample_rate", 8000), ("densenet_dilations", (1, 2)),
-                        ("dlc", DlcConfig()), ("loss_weights", (1.0,) * 5)]:
+                        ("loss_weights", (1.0,) * 5)]:
         with pytest.raises(TypeError):
             ModelConfig(**{name: value})
     for name in ("alpha", "gamma", "smooth_window"):
@@ -82,6 +88,25 @@ def test_settable_surface_is_pinned():
             SpsaConfig(**{name: 1})
     with pytest.raises(TypeError):
         SegmentalSnrOracle(frame_s=0.02)
+    # the dense local convolution is fixed by its layer, not by a config
+    assert Dlc.KERNEL == 19 and Dlc.DILATIONS == (2, 4)
+    assert list(inspect.signature(Dlc).parameters) == ["name", "channels", "axis"]
+    assert list(inspect.signature(Lrc).parameters) == ["name", "channels"]
+    assert not hasattr(lort, "DlcConfig") and not hasattr(local_refine, "DlcConfig")
+    assert not hasattr(ModelConfig, "dlc")
+    # attention inputs carry only the stacks attention reads
+    assert {f.name for f in dataclasses.fields(AttentionInput)} == {"q", "k", "v"}
+
+
+def test_every_export_resolves():
+    # a name left in an __all__ after its definition went fails here
+    checked = 0
+    for info in pkgutil.iter_modules(lort.__path__):
+        module = importlib.import_module(f"lort.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"lort.{info.name}.__all__ names missing {name!r}"
+            checked += 1
+    assert checked >= 50
 
 
 def test_every_accepted_config_runs_forward():

@@ -180,6 +180,26 @@ def test_stft_parameter_validation():
         stft(np.full(1000, np.nan), 64, 64, 16)
     with pytest.raises(InvalidInputError, match="1-D"):
         stft(np.zeros((2, 1000)), 64, 64, 16)
+    # each transform size is an int, named when it is not
+    for args, match in [((64, 64, 16.5), r"hop must be an int, got 16\.5"),
+                        ((64.0, 64, 16), r"fft_len must be an int, got 64\.0"),
+                        ((64, 32.0, 16), r"win_len must be an int, got 32\.0")]:
+        with pytest.raises(InvalidInputError, match=match):
+            stft(wf, *args)
+    # invertible answers only for a window and hop of at least one sample
+    for args, match in [((64, 0), r"hop must be an int >= 1, got 0"),
+                        ((0, 1), r"win_len must be an int >= 1, got 0"),
+                        ((64, -3), r"hop must be an int >= 1, got -3")]:
+        with pytest.raises(InvalidInputError, match=match):
+            invertible(*args)
+
+
+def test_istft_rejects_an_output_length_that_is_no_count():
+    spec = stft(make_noise(1000), 64, 64, 16)
+    for out_len in (-1, 2.5):
+        with pytest.raises(InvalidInputError, match=r"out_len must be an int >= 0"):
+            istft(spec, out_len)
+    assert len(istft(spec, 0)) == 0  # consistency_project asks for (frames - 1) * hop
 
 
 def test_hann_window_is_periodic():

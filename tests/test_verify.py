@@ -40,6 +40,18 @@ def test_gradcheck_losses_passes_and_is_deterministic():
     assert a.n_checked >= 1
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(instances=0), r"instances must be an int >= 1, got 0"),
+    (dict(instances=1.5), r"instances must be an int >= 1, got 1\.5"),
+    (dict(size=1), r"size must be an int >= 3, got 1"),
+    (dict(size=2), r"size must be an int >= 3, got 2"),
+    (dict(size=4.0), r"size must be an int >= 3, got 4\.0"),
+])
+def test_gradcheck_losses_rejects_a_run_without_checks(kwargs, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        gradcheck_losses(**kwargs)
+
+
 def test_gradcheck_harness_detects_a_sign_flip():
     # self-test: a corrupted analytic gradient must show up as a large error
     from lort.objectives import grad_mag, loss_mag
@@ -58,6 +70,13 @@ def test_taylor_error_sweep_slope_and_monotonicity():
     assert 1.7 <= r.slope <= 2.3
     with pytest.raises(InvalidParameterError):
         taylor_error_sweep(scales=(1e-3, 1e-2))
+
+
+@pytest.mark.parametrize("scales", [(), (0.1,), (np.nan, 0.01), (np.inf, 0.01), (0.1, 0.0)])
+def test_taylor_error_sweep_needs_two_finite_positive_scales(scales):
+    # a slope needs two points; a NaN or inf scale has no error to fit
+    with pytest.raises(InvalidParameterError, match=r"scales must be two or more finite"):
+        taylor_error_sweep(scales=scales, trials=1)
 
 
 @pytest.mark.parametrize("trials", [0, -1, 2.5])
