@@ -2,8 +2,8 @@
 
 Modules: array kernels (`arrays`), WAV + STFT plumbing (`signal`), the
 layer primitives that declare and apply their own weights, and the one
-weight initializer (`layers`: `Conv`, `Norm`, `PRelu`, `DenseStack`,
-`init_store`), the attention and
+weight initializer (`layers`: the `Layer` tree with its leaves `Conv`,
+`Norm`, `PRelu` and `Param`, `DenseStack`, `init_store`), the attention and
 locally-refined-convolution blocks (`attention`, `local_refine`), the
 assembled network (`model`), training objectives (`objectives`), the
 weight store (`weights`), numeric verification (`verify`), and the CLI

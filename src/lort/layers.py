@@ -3,8 +3,11 @@
 Each layer object declares its parameters (`manifest()` yields
 `(name, shape, init kind)` under a dotted name) and applies them
 (`layer(ws, x)` reads exactly those names from a WeightStore), so every
-parameter's name, shape and use are stated in one place; `init_store`
-fills any weight set from such a manifest.
+parameter's name, shape and use are stated in one place. The leaves
+`Conv`, `Norm`, `PRelu` and `Param` (a tensor a layer reads itself) state
+their tensors; a composite's manifest is the walk of the layers it holds,
+in attribute assignment order. `init_store` fills any weight set from a
+manifest.
 """
 from __future__ import annotations
 
@@ -14,12 +17,40 @@ from .arrays import ConvSpec, conv2d, normalize, prelu, same_pad
 from .errors import InvalidParameterError
 from .weights import WeightStore
 
-__all__ = ["Conv", "Norm", "PRelu", "DenseStack", "manifest_of", "init_store", "zero_store"]
+__all__ = ["Layer", "Param", "Conv", "Norm", "PRelu", "DenseStack", "init_store", "zero_store"]
 
 INIT_STD = 0.02
 
 
-class Conv:
+class Layer:
+    """A node of the layer tree: its manifest is the manifests of the layers
+    it holds (attributes that are layers, or lists and tuples of them at any
+    depth), in attribute assignment order; other attributes are skipped."""
+
+    def manifest(self):
+        for value in vars(self).values():
+            yield from _manifest(value)
+
+
+def _manifest(value):
+    if isinstance(value, Layer):
+        yield from value.manifest()
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _manifest(item)
+
+
+class Param(Layer):
+    """One tensor that its holder reads from the store itself, as `ws[p.name]`."""
+
+    def __init__(self, name, shape, init):
+        self.name, self.shape, self.init = name, shape, init
+
+    def manifest(self):
+        yield (self.name, self.shape, self.init)
+
+
+class Conv(Layer):
     def __init__(self, name, cin, cout, kernel, stride=(1, 1), dilation=(1, 1),
                  groups=1, padding=None, transposed=False, out_pad=(0, 0), init="gauss"):
         if padding is None:
@@ -44,7 +75,7 @@ class Conv:
         return conv2d(x, ws[f"{self.name}.w"], ws[f"{self.name}.b"], self.spec)
 
 
-class Norm:
+class Norm(Layer):
     def __init__(self, name, channels, kind):
         self.name, self.channels, self.kind = name, channels, kind
 
@@ -56,7 +87,7 @@ class Norm:
         return normalize(x, self.kind, ws[f"{self.name}.gain"], ws[f"{self.name}.shift"])
 
 
-class PRelu:
+class PRelu(Layer):
     def __init__(self, name, channels):
         self.name, self.channels = name, channels
 
@@ -67,12 +98,7 @@ class PRelu:
         return prelu(x, ws[f"{self.name}.a"])
 
 
-def manifest_of(*layers):
-    for layer in layers:
-        yield from layer.manifest()
-
-
-class DenseStack:
+class DenseStack(Layer):
     """Densely connected stack. Each layer is a tuple of sub-layers applied
     in order to the channel concat of the stack input and every earlier
     layer's output; the last layer's output is returned.
@@ -80,10 +106,6 @@ class DenseStack:
 
     def __init__(self, layers):
         self.layers = [tuple(layer) for layer in layers]
-
-    def manifest(self):
-        for layer in self.layers:
-            yield from manifest_of(*layer)
 
     def __call__(self, ws, x):
         feats = [x]

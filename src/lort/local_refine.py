@@ -7,7 +7,7 @@ import numpy as np
 
 from .arrays import sigmoid, silu
 from .errors import ShapeError
-from .layers import Conv, DenseStack, Norm, PRelu, manifest_of
+from .layers import Conv, DenseStack, Layer, Norm, PRelu
 
 __all__ = ["Dlc", "Lrc", "cfn", "tf_dlc", "lrc_block"]
 
@@ -16,7 +16,7 @@ __all__ = ["Dlc", "Lrc", "cfn", "tf_dlc", "lrc_block"]
 _ALONG = {"time": lambda n: (n, 1), "frequency": lambda n: (1, n)}
 
 
-class Dlc:
+class Dlc(Layer):
     """Dense local convolution along one axis: pointwise layers sandwiching a
     dense stack of dilated axial convolutions, with a residual from the input.
     Layer j (1-indexed) reads the j maps before it and convolves with kernel
@@ -38,16 +38,13 @@ class Dlc:
             for j, d in enumerate(self.DILATIONS, start=1)
         )
 
-    def manifest(self):
-        yield from manifest_of(self.pw_in, self.pw_out, self.dense)
-
     def __call__(self, ws, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise ShapeError(f"dlc expects (B, C, T, F), got shape {x.shape}")
         return x + self.pw_out(ws, self.dense(ws, self.pw_in(ws, x)))
 
 
-class Lrc:
+class Lrc(Layer):
     """Locally refined convolution: a CFN gate over a time DLC then a
     frequency DLC. Applied by `lrc_block`."""
 
@@ -58,9 +55,6 @@ class Lrc:
         self.dw = Conv(f"{name}.cfn.dw", c, c, (3, 3), groups=c)
         self.dlc_t = Dlc(f"{name}.dlc_t", c, "time")
         self.dlc_f = Dlc(f"{name}.dlc_f", c, "frequency")
-
-    def manifest(self):
-        yield from manifest_of(self.ln, self.pw, self.dw, self.dlc_t, self.dlc_f)
 
 
 def cfn(lrc: Lrc, ws, x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from . import attention as att
 from .arrays import FlopMeter, lsigmoid, silu
 from .errors import InvalidInputError, InvalidParameterError, ShapeError, WeightLookupError
-from .layers import Conv, DenseStack, Norm, PRelu, init_store, manifest_of, zero_store
+from .layers import Conv, DenseStack, Layer, Norm, Param, PRelu, init_store, zero_store
 from .local_refine import Lrc, lrc_block
 from .signal import (OLA_FLOOR, SAMPLE_RATE, ComplexSpec, Waveform, angle, decompose,
                      invertible, istft, recompose, stft)
@@ -82,6 +82,14 @@ class ModelConfig:
                 f"block channels {self.block_channels} not divisible by {self.heads} heads"
             )
 
+    def check_rate(self, wave: Waveform) -> None:
+        """Reject audio sampled at a rate other than the model's."""
+        if wave.sample_rate != self.sample_rate:
+            raise InvalidInputError(
+                f"input sample rate {wave.sample_rate} Hz does not match the model's "
+                f"sample_rate {self.sample_rate} Hz"
+            )
+
     @property
     def freq_bins(self) -> int:
         return self.fft_len // 2 + 1
@@ -130,21 +138,18 @@ def dilated_dense(prefix, channels, dilations) -> DenseStack:
     )
 
 
-class Encoder:
+class Encoder(Layer):
     def __init__(self, cfg: ModelConfig):
         c = cfg.channels
         self.in_conv = Conv("encoder.in_conv", 2, c, (1, 1))
         self.dense = dilated_dense("encoder.dense", c, cfg.densenet_dilations)
         self.down_f = Conv("encoder.down_f", c, c, (1, 3), stride=(1, 2), padding=(0, 1))
 
-    def manifest(self):
-        yield from manifest_of(self.in_conv, self.dense, self.down_f)
-
     def __call__(self, ws, x):
         return self.down_f(ws, self.dense(ws, self.in_conv(ws, x)))
 
 
-class Dsdcn:
+class Dsdcn(Layer):
     """Depthwise-separable convolution with learned bilinear sampling offsets.
 
     Each 3x3 depthwise tap samples its channel at the tap's grid position
@@ -154,22 +159,17 @@ class Dsdcn:
     K = 3
 
     def __init__(self, prefix, channels):
-        self.depthwise, self.channels = f"{prefix}.depthwise", channels
-        self.offset = Conv(f"{prefix}.offset", channels, 2 * self.K * self.K, (3, 3),
-                           init="zeros")
+        k = self.K
+        self.offset = Conv(f"{prefix}.offset", channels, 2 * k * k, (3, 3), init="zeros")
+        self.dw_w = Param(f"{prefix}.depthwise.w", (channels, 1, k, k), "gauss")
+        self.dw_b = Param(f"{prefix}.depthwise.b", (channels,), "zeros")
         self.pw = Conv(f"{prefix}.pointwise", channels, channels, (1, 1))
-
-    def manifest(self):
-        yield from self.offset.manifest()
-        yield (f"{self.depthwise}.w", (self.channels, 1, self.K, self.K), "gauss")
-        yield (f"{self.depthwise}.b", (self.channels,), "zeros")
-        yield from self.pw.manifest()
 
     def __call__(self, ws, x):
         b, c, t, f = x.shape
         k = self.K
         off = self.offset(ws, x).reshape(b, k * k, 2, t, f)
-        w = ws[f"{self.depthwise}.w"]
+        w = ws[self.dw_w.name]
         # one (B*T*F, C) plane of every item's channel vectors, a view of the
         # channels-last map the encoder hands over; a sample at (i, t, f) is
         # row i*T*F + t*F + f
@@ -204,46 +204,39 @@ class Dsdcn:
             tap *= w[:, 0, a, cc]
             acc += tap
         # channel-major result: the pointwise conv reads one item without a copy
-        out = np.add(acc.T, ws[f"{self.depthwise}.b"][:, None], order="C")
+        out = np.add(acc.T, ws[self.dw_b.name][:, None], order="C")
         return self.pw(ws, out.reshape(c, b, t, f).transpose(1, 0, 2, 3))
 
 
-class Ffn:
+class Ffn(Layer):
     def __init__(self, prefix, channels):
         self.expand = Conv(f"{prefix}.expand", channels, 2 * channels, (1, 1))
         self.project = Conv(f"{prefix}.project", 2 * channels, channels, (1, 1))
-
-    def manifest(self):
-        yield from manifest_of(self.expand, self.project)
 
     def __call__(self, ws, x):
         return self.project(ws, silu(self.expand(ws, x)))
 
 
-class Lrtt:
+class Lrtt(Layer):
     """One locally refined Taylor transformer block."""
 
     def __init__(self, prefix, cfg: ModelConfig):
         c = cfg.block_channels
         self.heads = cfg.heads
         self.ln1 = Norm(f"{prefix}.ln1", c, "layer")
-        self.ln2 = Norm(f"{prefix}.ln2", c, "layer")
-        self.qkv = {n: Conv(f"{prefix}.tmsa.{n}", c, c, (1, 1)) for n in ("q", "k", "v", "out")}
+        self.q, self.k, self.v, self.out = (Conv(f"{prefix}.tmsa.{n}", c, c, (1, 1))
+                                            for n in ("q", "k", "v", "out"))
         self.msar_local = Conv(f"{prefix}.msar.local", c, c, (3, 3), groups=c, init="zeros")
         self.msar_gate = Conv(f"{prefix}.msar.gate", 2 * c, c, (1, 1), init="zeros")
         self.scea_ch = Conv(f"{prefix}.scea.ch", 1, 1, (3, 1), padding=(1, 0))
         self.scea_sp = Conv(f"{prefix}.scea.sp", 2, 1, (5, 5))
+        self.ln2 = Norm(f"{prefix}.ln2", c, "layer")
         self.ffn = Ffn(f"{prefix}.ffn", c)
         self.lrc = Lrc(f"{prefix}.lrc", c)
 
-    def manifest(self):
-        yield from manifest_of(self.ln1, *self.qkv.values(), self.msar_local,
-                                self.msar_gate, self.scea_ch, self.scea_sp,
-                                self.ln2, self.ffn, self.lrc)
-
     def _attend(self, ws, y):
         b, c, t, f = y.shape
-        qm, km, vm = (self.qkv[n](ws, y) for n in ("q", "k", "v"))
+        qm, km, vm = self.q(ws, y), self.k(ws, y), self.v(ws, y)
 
         def heads(m):
             # (B, C, T, F) -> (B*H, T*F, C/H), head-major channel layout
@@ -251,8 +244,8 @@ class Lrtt:
 
         vp = att.taylor_attention(att.AttentionInput(heads(qm), heads(km), heads(vm)))
         vp = vp.transpose(0, 2, 1).reshape(b, c, t, f)
-        return self.qkv["out"](ws, att.msar_correct(qm, km, vm, vp, ws, self.msar_local,
-                                                    self.msar_gate))
+        return self.out(ws, att.msar_correct(qm, km, vm, vp, ws, self.msar_local,
+                                             self.msar_gate))
 
     def __call__(self, ws, x):
         y = self.ln1(ws, x)
@@ -261,7 +254,7 @@ class Lrtt:
         return lrc_block(self.lrc, ws, x)
 
 
-class Decoder:
+class Decoder(Layer):
     """Shared decoder trunk: dilated dense stack then frequency upsampling."""
 
     def __init__(self, prefix, cfg: ModelConfig):
@@ -269,9 +262,6 @@ class Decoder:
         self.dense = dilated_dense(f"{prefix}.dense", c, cfg.densenet_dilations)
         self.up_f = Conv(f"{prefix}.up_f", c, c, (1, 3), stride=(1, 2),
                          padding=(0, 1), out_pad=(0, 1), transposed=True)
-
-    def manifest(self):
-        yield from manifest_of(self.dense, self.up_f)
 
     def __call__(self, ws, x):
         return self.up_f(ws, self.dense(ws, x))
@@ -281,16 +271,11 @@ class MagDecoder(Decoder):
     def __init__(self, cfg: ModelConfig):
         super().__init__("mag_decoder", cfg)
         self.out = Conv("mag_decoder.out", cfg.channels, 1, (1, 1))
-        self.bins = cfg.freq_bins
-
-    def manifest(self):
-        yield from super().manifest()
-        yield from self.out.manifest()
-        yield ("mag_decoder.lsigmoid.alpha", (self.bins,), "ones")
+        self.alpha = Param("mag_decoder.lsigmoid.alpha", (cfg.freq_bins,), "ones")
 
     def mask(self, ws, x, t, f):
         logits = _fit(self.out(ws, super().__call__(ws, x)), t, f)
-        return lsigmoid(logits[:, 0], ws["mag_decoder.lsigmoid.alpha"])
+        return lsigmoid(logits[:, 0], ws[self.alpha.name])
 
 
 class PhaseDecoder(Decoder):
@@ -299,10 +284,6 @@ class PhaseDecoder(Decoder):
         self.out_r = Conv("phase_decoder.out_r", cfg.channels, 1, (1, 1))
         self.out_i = Conv("phase_decoder.out_i", cfg.channels, 1, (1, 1))
 
-    def manifest(self):
-        yield from super().manifest()
-        yield from manifest_of(self.out_r, self.out_i)
-
     def phase(self, ws, x, t, f):
         trunk = super().__call__(ws, x)
         r = _fit(self.out_r(ws, trunk), t, f)[:, 0]
@@ -310,7 +291,7 @@ class PhaseDecoder(Decoder):
         return angle(i, r)
 
 
-class LortModel:
+class LortModel(Layer):
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
         c, cb = cfg.channels, cfg.block_channels
@@ -321,10 +302,6 @@ class LortModel:
         self.up = Conv("up", cb, c, (2, 2), stride=(2, 2), padding=(0, 0), transposed=True)
         self.mag_dec = MagDecoder(cfg)
         self.phase_dec = PhaseDecoder(cfg)
-
-    def manifest(self):
-        yield from manifest_of(self.encoder, self.embed, self.down, *self.blocks,
-                                self.up, self.mag_dec, self.phase_dec)
 
     def param_names(self):
         return [name for name, _, _ in self.manifest()]
@@ -342,11 +319,7 @@ class LortModel:
         return h + skip
 
     def forward(self, noisy: Waveform, ws: WeightStore) -> ForwardResult:
-        if noisy.sample_rate != self.cfg.sample_rate:
-            raise InvalidInputError(
-                f"input sample rate {noisy.sample_rate} Hz does not match the model's "
-                f"sample_rate {self.cfg.sample_rate} Hz"
-            )
+        self.cfg.check_rate(noisy)
         shapes = {name: shape for name, shape, _ in self.manifest()}
         missing = ws.missing(shapes)
         if missing:
@@ -372,7 +345,7 @@ class LortModel:
         return ForwardResult(wave=wave, spec=out_spec, mask=mask, phase=phase)
 
 
-class Discriminator:
+class Discriminator(Layer):
     """Metric critic: four strided conv/norm/PReLU blocks over the stacked
     (reference, estimate) magnitudes, mean-pooled into a 1x1 conv head."""
 
@@ -386,9 +359,6 @@ class Discriminator:
                 PRelu(f"disc.block{j}.act", chans[j + 1]))
         ]
         self.head = Conv("disc.head", chans[-1], 1, (1, 1))
-
-    def manifest(self):
-        yield from manifest_of(*self.layers, self.head)
 
     def __call__(self, ws, x):
         """Logit per batch item of x, shaped (B, 2, T, F)."""

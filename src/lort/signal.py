@@ -49,8 +49,9 @@ class Waveform:
             raise InvalidInputError(f"waveform must be 1-D, got shape {self.samples.shape}")
         if not np.all(np.isfinite(self.samples)):
             raise InvalidInputError("waveform contains non-finite samples")
-        if self.sample_rate <= 0:
-            raise InvalidInputError(f"sample_rate must be positive, got {self.sample_rate}")
+        rate = self.sample_rate
+        if isinstance(rate, bool) or not isinstance(rate, int) or rate < 1:
+            raise InvalidInputError(f"sample_rate must be an int >= 1, got {rate!r}")
 
     def __len__(self) -> int:
         return self.samples.shape[0]

@@ -17,7 +17,6 @@ from .model import (
     build_model,
     count_params,
     estimate_flops,
-    forward,
     init_discriminator,
     init_weights,
 )
@@ -303,11 +302,12 @@ def spsa_train(cfg: ModelConfig | None = None, spsa: SpsaConfig | None = None) -
     ref_spec = stft(clean, cfg.fft_len, cfg.win_len, cfg.hop)
     disc = init_discriminator(WeightStore(), seed=spsa.seed)
     ws0 = init_weights(cfg, seed=spsa.seed)
-    names = [n for n, _, _ in build_model(cfg).manifest()]
+    model = build_model(cfg)
+    names = model.param_names()
     theta = _flatten(ws0, names)
 
     def evaluate(vec: np.ndarray) -> float:
-        res = forward(noisy, _unflatten(vec, ws0, names), cfg)
+        res = model.forward(noisy, _unflatten(vec, ws0, names))
         return evaluate_losses(res.spec, ref_spec, disc=disc).total
 
     big_a = 0.1 * spsa.iterations

@@ -136,8 +136,11 @@ class WeightStore:
                 raise WeightFormatError(
                     f"blob truncated for {name!r}: need {4 * size} bytes at {off}"
                 )
+            values = np.frombuffer(raw, dtype="<f4")
+            if not np.isfinite(values).all():
+                raise WeightFormatError(f"entry {i} ({name!r}): values are not all finite")
             try:
-                store[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+                store[name] = values.reshape(shape)
             except ValueError as e:  # more axes than numpy supports
                 raise WeightFormatError(f"entry {i} ({name!r}): field 'shape': {e}") from None
             total = max(total, off + 4 * size)

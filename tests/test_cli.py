@@ -10,6 +10,7 @@ import lort
 from lort.cli import _build_parser, _cfg_from, run
 from lort.model import ModelConfig
 from lort.signal import Waveform, read_wav, write_wav
+from lort.weights import WeightStore
 
 MICRO_ARGS = ["--n-blocks", "1", "--channels", "4",
               "--fft-len", "64", "--win-len", "64", "--hop", "16"]
@@ -122,6 +123,31 @@ def test_enhance_rejects_other_sample_rate(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "8000 Hz" in err and "16000 Hz" in err
+    assert not out.exists()
+
+
+def test_losses_rejects_other_sample_rate(tmp_path, capsys):
+    wav = tmp_path / "x8k.wav"
+    wav.write_bytes(write_wav(Waveform(np.zeros(4000), sample_rate=8000)))
+    assert run(["losses", "--ref", str(wav), "--est", str(wav)] + MICRO_ARGS) == 2
+    captured = capsys.readouterr()
+    assert "8000 Hz" in captured.err and "16000 Hz" in captured.err
+    assert captured.out == ""
+
+
+def test_enhance_rejects_non_finite_weights(tmp_path, capsys):
+    noisy = tmp_path / "noisy.wav"
+    write_noise(noisy)
+    weights = tmp_path / "w.bin"
+    assert run(["init-weights", "--out", str(weights)] + MICRO_ARGS) == 0
+    ws = WeightStore.load(str(weights))
+    ws["encoder.down_f.b"] = np.full(ws["encoder.down_f.b"].shape, np.inf)
+    ws.save(str(weights))
+    out = tmp_path / "o.wav"
+    code = run(["enhance", "--in", str(noisy), "--weights", str(weights),
+                "--out", str(out)] + MICRO_ARGS)
+    assert code == 2
+    assert "'encoder.down_f.b'" in capsys.readouterr().err
     assert not out.exists()
 
 

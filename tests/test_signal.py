@@ -100,6 +100,10 @@ def test_waveform_validation():
         Waveform(np.array([1.0, np.nan]))
     with pytest.raises(InvalidInputError):
         Waveform(np.zeros(4), sample_rate=0)
+    # a rate write_wav cannot store, and rates of the wrong type
+    for rate in (16000.5, "16000", True):
+        with pytest.raises(InvalidInputError, match="sample_rate must be an int"):
+            Waveform(np.zeros(4), sample_rate=rate)
 
 
 # ---------------------------------------------------------------------------

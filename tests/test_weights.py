@@ -59,6 +59,14 @@ def test_format_errors():
         WeightStore.from_bytes(data + b"\x00\x00\x00\x00")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_name_their_entry(bad):
+    ws = make_store()
+    ws["enc.conv.b"] = np.array([0.0, bad, 1.0, 2.0])
+    with pytest.raises(WeightFormatError, match=r"entry 1 \('enc.conv.b'\).*not all finite"):
+        WeightStore.from_bytes(ws.to_bytes())
+
+
 def test_values_stored_as_float64():
     ws = WeightStore()
     ws["x"] = np.array([1, 2, 3], dtype=np.int32)
