@@ -16,7 +16,6 @@ __all__ = [
     "FlopMeter",
     "add_macs",
     "conv2d",
-    "conv2d_reference",
     "same_pad",
     "normalize",
     "prelu",
@@ -26,8 +25,6 @@ __all__ = [
     "softmax",
 ]
 
-# Cap on elements of a single im2col temporary (keeps peak memory bounded).
-_CHUNK_ELEMS = 8_000_000
 # Cap on elements of one per-tap product in the flat-plane conv path.
 _TAP_ELEMS = 1 << 18
 
@@ -67,6 +64,10 @@ def add_macs(n: int) -> None:
 
 @dataclass(frozen=True)
 class ConvSpec:
+    """Geometry of one conv2d call. `groups` is 1, or Cin = Cout for a
+    depthwise conv at stride 1, not transposed; `out_pad` is for
+    transposed convs only and stays below the stride."""
+
     kernel: tuple[int, int]
     stride: tuple[int, int] = (1, 1)
     dilation: tuple[int, int] = (1, 1)
@@ -76,113 +77,31 @@ class ConvSpec:
     out_pad: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
-        if min(self.kernel) < 1 or min(self.stride) < 1:
-            raise InvalidSpecError(f"kernel/stride must be >= 1, got {self}")
-        if min(self.dilation) < 1:
-            raise InvalidSpecError(f"dilation must be >= 1 componentwise, got {self.dilation}")
-        if self.groups < 1:
-            raise InvalidSpecError(f"groups must be positive, got {self.groups}")
-        if min(self.padding) < 0 or min(self.out_pad) < 0:
-            raise InvalidSpecError(f"padding must be non-negative, got {self}")
+        for name, low in (("kernel", 1), ("stride", 1), ("dilation", 1),
+                          ("padding", 0), ("out_pad", 0)):
+            v = getattr(self, name)
+            # type(...) is int: a bool is an int to isinstance
+            if not (type(v) is tuple and len(v) == 2 and type(v[0]) is int and type(v[1]) is int):
+                raise InvalidSpecError(f"{name} must be a pair of ints, got {v!r}")
+            if v[0] < low or v[1] < low:
+                raise InvalidSpecError(f"{name} must be >= {low} componentwise, got {v}")
+        if type(self.transposed) is not bool:
+            raise InvalidSpecError(f"transposed must be a bool, got {self.transposed!r}")
+        if not self.transposed and self.out_pad != (0, 0):
+            raise InvalidSpecError(f"out_pad must be (0, 0) unless transposed, got {self.out_pad}")
+        if self.out_pad[0] >= self.stride[0] or self.out_pad[1] >= self.stride[1]:
+            raise InvalidSpecError(
+                f"out_pad must be below stride {self.stride} componentwise, got {self.out_pad}")
+        if type(self.groups) is not int or self.groups < 1:
+            raise InvalidSpecError(f"groups must be an int >= 1, got {self.groups!r}")
+        if self.groups > 1 and (self.transposed or self.stride != (1, 1)):
+            raise InvalidSpecError(
+                f"groups={self.groups} (depthwise) needs stride (1, 1) and no transposition")
 
 
 def same_pad(kernel: tuple[int, int], dilation: tuple[int, int] = (1, 1)) -> tuple[int, int]:
     """Padding that preserves spatial extent at stride 1 (odd kernels)."""
     return (dilation[0] * (kernel[0] - 1) // 2, dilation[1] * (kernel[1] - 1) // 2)
-
-
-def _windows(xp: np.ndarray, kernel, stride, dilation) -> np.ndarray:
-    """Strided view of shape (B, C, Ho, Wo, kh, kw); no copy."""
-    kh, kw = kernel
-    dh, dw = dilation
-    eh = dh * (kh - 1) + 1
-    ew = dw * (kw - 1) + 1
-    if xp.shape[2] < eh or xp.shape[3] < ew:
-        raise InvalidSpecError(
-            f"effective kernel ({eh}, {ew}) exceeds padded input {xp.shape[2:]}"
-        )
-    sw = np.lib.stride_tricks.sliding_window_view(xp, (eh, ew), axis=(2, 3))
-    return sw[:, :, :: stride[0], :: stride[1], ::dh, ::dw]
-
-
-def _conv_group(x: np.ndarray, w: np.ndarray, stride, dilation, padding) -> np.ndarray:
-    """Single-group cross-correlation via chunked window contraction."""
-    ph, pw = padding
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-    win = _windows(xp, w.shape[2:], stride, dilation)
-    b_, c, ho, wo, kh, kw = win.shape
-    out = np.empty((b_, ho, wo, w.shape[0]), dtype=x.dtype)
-    row_elems = max(1, b_ * wo * c * kh * kw)
-    step = max(1, _CHUNK_ELEMS // row_elems)
-    for h0 in range(0, ho, step):
-        h1 = min(h0 + step, ho)
-        block = win[:, :, h0:h1]
-        out[:, h0:h1] = np.tensordot(block, w, axes=([1, 4, 5], [1, 2, 3]))
-    return np.moveaxis(out, 3, 1)
-
-
-def _conv_windows(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Grouped cross-correlation, one window contraction per group."""
-    g = spec.groups
-    if g == 1:
-        return _conv_group(x, w, spec.stride, spec.dilation, spec.padding)
-    cin_g, cout_g = w.shape[1], w.shape[0] // g
-    parts = [
-        _conv_group(
-            x[:, i * cin_g : (i + 1) * cin_g],
-            w[i * cout_g : (i + 1) * cout_g],
-            spec.stride,
-            spec.dilation,
-            spec.padding,
-        )
-        for i in range(g)
-    ]
-    return np.concatenate(parts, axis=1)
-
-
-def _conv_zero_stuffed(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Transposed conv as a stride-1 correlation of the zero-stuffed input
-    with the flipped kernel, one group at a time."""
-    g = spec.groups
-    cin_g = w.shape[0] // g
-    sh, sw_ = spec.stride
-    dh, dw = spec.dilation
-    kh, kw = spec.kernel
-    parts = []
-    for i in range(g):
-        xg = x[:, i * cin_g : (i + 1) * cin_g]
-        wg = w[i * cin_g : (i + 1) * cin_g]
-        b_, c, h, wid = xg.shape
-        xi = np.zeros(
-            (b_, c, (h - 1) * sh + 1 + spec.out_pad[0], (wid - 1) * sw_ + 1 + spec.out_pad[1]),
-            dtype=x.dtype,
-        )
-        xi[:, :, :: sh, :: sw_][:, :, :h, :wid] = xg
-        # gradient-of-conv form: full correlation with the flipped kernel
-        pe_h = dh * (kh - 1) - spec.padding[0]
-        pe_w = dw * (kw - 1) - spec.padding[1]
-        wf = wg[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        out = _conv_group(
-            np.pad(
-                xi,
-                (
-                    (0, 0),
-                    (0, 0),
-                    (max(pe_h, 0), max(pe_h, 0)),
-                    (max(pe_w, 0), max(pe_w, 0)),
-                ),
-            ),
-            wf,
-            (1, 1),
-            spec.dilation,
-            (0, 0),
-        )
-        ch = max(-pe_h, 0)
-        cw = max(-pe_w, 0)
-        if ch or cw:
-            out = out[:, :, ch : out.shape[2] - ch or None, cw : out.shape[3] - cw or None]
-        parts.append(out)
-    return np.concatenate(parts, axis=1) if g > 1 else parts[0]
 
 
 def _conv_flat(x: np.ndarray, w: np.ndarray, dilation, padding) -> np.ndarray:
@@ -236,8 +155,8 @@ def _conv_flat(x: np.ndarray, w: np.ndarray, dilation, padding) -> np.ndarray:
 
 
 def _conv_scatter(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Single-group transposed conv: each tap's GEMM is added into a
-    strided view of the output, with no zero-stuffed input."""
+    """Transposed conv: each tap's GEMM is added into a strided view of
+    the output, with no zero-stuffed input."""
     b_, cin, h, wid = x.shape
     cout, (kh, kw) = w.shape[1], spec.kernel
     sh, sw_ = spec.stride
@@ -261,33 +180,50 @@ def _conv_scatter(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return full[:, :, ph : ph + ho, pw : pw + wo]
 
 
+def _conv_strided(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Single-group strided correlation: one GEMM per kernel tap over that
+    tap's strided view of the padded input."""
+    b_, cin, h, wid = x.shape
+    cout, (kh, kw) = w.shape[0], spec.kernel
+    sh, sw_ = spec.stride
+    dh, dw = spec.dilation
+    ph, pw = spec.padding
+    ho, wo = conv_out_shape((h, wid), spec)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, cout, cin)
+    acc = np.empty((b_, cout, ho * wo), dtype=np.result_type(x, w))
+    part = np.empty_like(acc)
+    xs = np.empty((b_, cin, ho, wo), dtype=x.dtype)  # one tap's inputs, gathered
+    for k, tap in enumerate(taps):
+        i, j = divmod(k, kw)
+        xs[...] = xp[:, :, i * dh : i * dh + (ho - 1) * sh + 1 : sh,
+                     j * dw : j * dw + (wo - 1) * sw_ + 1 : sw_]
+        np.matmul(tap, xs.reshape(b_, cin, ho * wo), out=part if k else acc)
+        if k:
+            acc += part
+    return acc.reshape(b_, cout, ho, wo)
+
+
 def _check_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> int:
     """Validate the operands of one conv2d call; return its MAC count."""
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects a (B, C, H, W) input, got shape {x.shape}")
-    if w.ndim != 4 or w.shape[2:] != tuple(spec.kernel):
+    if w.ndim != 4 or w.shape[2:] != spec.kernel:
         raise ShapeError(f"weight shape {w.shape} does not match kernel {spec.kernel}")
     g = spec.groups
-    if spec.transposed:
-        cin, cout_g = w.shape[:2]
-        if x.shape[1] != cin or cin % g:
-            raise ShapeError(
-                f"channels {x.shape[1]} inconsistent with transposed weight {w.shape} and groups {g}"
-            )
-        cout = cout_g * g
-    else:
-        cout, cin_g = w.shape[:2]
-        if x.shape[1] != cin_g * g or cout % g:
-            raise ShapeError(
-                f"channels {x.shape[1]} inconsistent with weight {w.shape} and groups {g}"
-            )
+    cin, cout = (w.shape[0], w.shape[1]) if spec.transposed else (w.shape[1] * g, w.shape[0])
+    if g > 1 and not g == cin == cout:
+        raise InvalidSpecError(
+            f"groups={g} is neither 1 nor depthwise for weight {w.shape} (groups = Cin = Cout)")
+    if x.shape[1] != cin:
+        raise ShapeError(f"channels {x.shape[1]} inconsistent with weight {w.shape}")
     ho, wo = conv_out_shape(x.shape[2:], spec)
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"bias shape {b.shape} != ({cout},)")
     taps = spec.kernel[0] * spec.kernel[1]
     if spec.transposed:
-        return x.size * cout_g * taps
-    return x.shape[0] * cout * ho * wo * cin_g * taps
+        return x.size * cout * taps
+    return x.shape[0] * cout * ho * wo * w.shape[1] * taps
 
 
 def _finish(out: np.ndarray, b: np.ndarray | None, macs: int) -> np.ndarray:
@@ -298,32 +234,23 @@ def _finish(out: np.ndarray, b: np.ndarray | None, macs: int) -> np.ndarray:
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> np.ndarray:
-    """2-D cross-correlation with stride, dilation, groups and transposition.
+    """2-D cross-correlation with stride, dilation and transposition.
 
     Plain weights have shape (Cout, Cin/groups, kh, kw); transposed
-    weights use (Cin, Cout/groups, kh, kw). Stride-1 dense and depthwise
-    convs accumulate per tap over the flattened padded plane; single-group
-    transposed convs scatter per-tap GEMMs into the output. Strided and
-    other grouped convs take the window path of `conv2d_reference`, which
-    every fast path must match.
+    weights use (Cin, Cout, kh, kw). `groups` is 1, or Cin = Cout for a
+    stride-1 depthwise conv; any other value raises `InvalidSpecError`.
+    Every conv runs one GEMM (or, depthwise, one broadcast multiply) per
+    kernel tap: stride-1 convs over the flattened padded plane, strided
+    convs over each tap's strided view, and transposed convs scattered
+    into strided views of the output.
     """
     macs = _check_conv(x, w, b, spec)
-    g = spec.groups
     if spec.transposed:
-        out = _conv_scatter(x, w, spec) if g == 1 else _conv_zero_stuffed(x, w, spec)
-    elif tuple(spec.stride) == (1, 1) and (g == 1 or g == x.shape[1] == w.shape[0]):
+        out = _conv_scatter(x, w, spec)
+    elif spec.stride == (1, 1):
         out = _conv_flat(x, w, spec.dilation, spec.padding)
     else:
-        out = _conv_windows(x, w, spec)
-    return _finish(out, b, macs)
-
-
-def conv2d_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-                     spec: ConvSpec) -> np.ndarray:
-    """Oracle for `conv2d`: window-view (im2col) contraction per group, and
-    transposed convs on the zero-stuffed input. Same contract and MAC count."""
-    macs = _check_conv(x, w, b, spec)
-    out = _conv_zero_stuffed(x, w, spec) if spec.transposed else _conv_windows(x, w, spec)
+        out = _conv_strided(x, w, spec)
     return _finish(out, b, macs)
 
 

@@ -65,7 +65,7 @@ class Conv(Layer):
     def manifest(self):
         k = self.spec.kernel
         if self.spec.transposed:
-            wshape = (self.cin, self.cout // self.groups, *k)
+            wshape = (self.cin, self.cout, *k)
         else:
             wshape = (self.cout, self.cin // self.groups, *k)
         yield (f"{self.name}.w", wshape, self.init)

@@ -57,7 +57,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise InvalidParameterError(f"{f.name} must be an int, got {value!r}")
         if self.n_blocks < 1:
             raise InvalidParameterError(f"n_blocks must be >= 1, got {self.n_blocks}")

@@ -188,7 +188,8 @@ def stft(x: Waveform, fft_len: int, win_len: int, hop: int) -> ComplexSpec:
         )
     # 2 * pad >= win_len - 1 and the signal is non-empty, so at least one frame fits
     sp = np.pad(s, (pad, pad), mode="reflect")
-    frames = np.lib.stride_tricks.sliding_window_view(sp, win_len)[:: hop]
+    starts = hop * np.arange((sp.size - win_len) // hop + 1)
+    frames = sp[starts[:, None] + np.arange(win_len)]
     spec = np.fft.rfft(frames * hann_window(win_len), n=fft_len, axis=1)
     return ComplexSpec(spec.real, spec.imag, fft_len, win_len, hop)
 

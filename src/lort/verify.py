@@ -108,9 +108,9 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
 
 def gradcheck_losses(seed: int = 0, instances: int = 20, size: int = 8) -> GradCheckResult:
     """Analytic-vs-numeric comparison for every differentiable loss term."""
-    if not isinstance(instances, int) or instances < 1:
+    if isinstance(instances, bool) or not isinstance(instances, int) or instances < 1:
         raise InvalidParameterError(f"instances must be an int >= 1, got {instances!r}")
-    if not isinstance(size, int) or size < 3:
+    if isinstance(size, bool) or not isinstance(size, int) or size < 3:
         raise InvalidParameterError(f"size must be an int >= 3, got {size!r}")
     rng = np.random.default_rng(seed)
     fft_len = 2 * (size - 1)
@@ -185,7 +185,7 @@ def taylor_error_sweep(scales=(1e-1, 1e-2, 1e-3), trials: int = 20,
     base draws are reused across scales so each trial's error curve is
     monotone in the scale.
     """
-    if not isinstance(trials, int) or trials < 1:
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise InvalidParameterError(f"trials must be an int >= 1, got {trials!r}")
     scales = tuple(float(s) for s in scales)
     if (len(scales) < 2 or not all(0 < s < math.inf for s in scales)
@@ -230,7 +230,8 @@ class SpsaConfig:
     smooth_window: ClassVar[int] = 10
 
     def __post_init__(self) -> None:
-        if not isinstance(self.iterations, int) or self.iterations < 1:
+        if (isinstance(self.iterations, bool) or not isinstance(self.iterations, int)
+                or self.iterations < 1):
             raise InvalidParameterError(f"iterations must be an int >= 1, got {self.iterations!r}")
         if not 0 < self.c < math.inf:
             raise InvalidParameterError(f"c must be finite and > 0, got {self.c}")

@@ -101,6 +101,24 @@ def test_conv_spec_validation():
         ConvSpec(kernel=(3, 3), groups=0)
     with pytest.raises(InvalidSpecError):
         ConvSpec(kernel=(3, 3), padding=(-1, 0))
+    # each malformed field is named at construction, not deep inside conv2d
+    for kwargs, field in [(dict(kernel=3), "kernel"),
+                          (dict(kernel=(3,)), "kernel"),
+                          (dict(kernel=(3, True)), "kernel"),
+                          (dict(stride=(2,)), "stride"),
+                          (dict(stride=(2.0, 1)), "stride"),
+                          (dict(dilation=(1,)), "dilation"),
+                          (dict(padding=(1,)), "padding"),
+                          (dict(padding=(0.5, 0)), "padding"),
+                          (dict(out_pad=(1, 0), stride=(2, 2)), "out_pad"),
+                          (dict(out_pad=(2, 0), stride=(2, 2), transposed=True), "out_pad"),
+                          (dict(out_pad=(0,), transposed=True), "out_pad"),
+                          (dict(groups=True), "groups"),
+                          (dict(groups=2.0), "groups"),
+                          (dict(transposed="no"), "transposed")]:
+        kwargs = {"kernel": (3, 3), **kwargs}
+        with pytest.raises(InvalidSpecError, match=field):
+            ConvSpec(**kwargs)
 
 
 def test_conv2d_shape_errors():

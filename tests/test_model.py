@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lort.arrays import ConvSpec, conv2d
+from lort.arrays import ConvSpec, FlopMeter, conv2d
 from lort.errors import InvalidInputError, InvalidParameterError, ShapeError, WeightLookupError
 from lort.layers import init_store
 from lort.model import (
@@ -28,7 +28,7 @@ from lort.model import (
     zero_weights,
 )
 import lort
-from lort import local_refine
+from lort import attention, local_refine
 from lort.attention import AttentionInput
 from lort.local_refine import Dlc, Lrc
 from lort.objectives import LossWeights, SegmentalSnrOracle, discriminate
@@ -54,6 +54,7 @@ def test_config_validation():
     for kwargs, match in [(dict(channels=4.0), r"channels must be an int, got 4\.0"),
                           (dict(hop=16.0), r"hop must be an int, got 16\.0"),
                           (dict(n_blocks=1.0), r"n_blocks must be an int, got 1\.0"),
+                          (dict(n_blocks=True), r"n_blocks must be an int, got True"),
                           (dict(fft_len=64.5), r"fft_len must be an int, got 64\.5"),
                           (dict(block_channel_mult=0), r"block_channel_mult must be >= 1, got 0")]:
         with pytest.raises(InvalidParameterError, match=match):
@@ -324,6 +325,26 @@ def test_estimate_flops_grows_with_duration():
     f1 = estimate_flops(MICRO, 0.25)
     f2 = estimate_flops(MICRO, 0.5)
     assert 0 < f1 < f2
+
+
+def test_forward_macs_are_linear_in_duration(monkeypatch):
+    """The linear-complexity claim, measured end to end: a full forward
+    never runs softmax attention, and its MACs scale as duration**1."""
+    def no_softmax(*args, **kwargs):
+        raise AssertionError("softmax attention reached from forward")
+
+    monkeypatch.setattr(attention, "softmax_attention", no_softmax)
+    cfg = micro_config()
+    ws = init_weights(cfg)
+    rng = np.random.default_rng(17)
+    durations = (0.25, 0.5, 1.0)
+    macs = []
+    for d in durations:
+        with FlopMeter() as meter:
+            forward(Waveform(0.1 * rng.standard_normal(int(d * cfg.sample_rate))), ws, cfg)
+        macs.append(meter.macs)
+    slope = np.polyfit(np.log(durations), np.log(macs), 1)[0]
+    assert abs(slope - 1.0) <= 0.01, (slope, macs)
 
 
 def test_negative_duration_names_the_parameter():

@@ -46,6 +46,8 @@ def test_gradcheck_losses_passes_and_is_deterministic():
     (dict(size=1), r"size must be an int >= 3, got 1"),
     (dict(size=2), r"size must be an int >= 3, got 2"),
     (dict(size=4.0), r"size must be an int >= 3, got 4\.0"),
+    (dict(instances=True), r"instances must be an int >= 1, got True"),
+    (dict(size=True), r"size must be an int >= 3, got True"),
 ])
 def test_gradcheck_losses_rejects_a_run_without_checks(kwargs, match):
     with pytest.raises(InvalidParameterError, match=match):
@@ -79,7 +81,7 @@ def test_taylor_error_sweep_needs_two_finite_positive_scales(scales):
         taylor_error_sweep(scales=scales, trials=1)
 
 
-@pytest.mark.parametrize("trials", [0, -1, 2.5])
+@pytest.mark.parametrize("trials", [0, -1, 2.5, True])
 def test_taylor_error_sweep_needs_a_trial(trials):
     with pytest.raises(InvalidParameterError, match=r"trials must be an int >= 1"):
         taylor_error_sweep(trials=trials)
@@ -124,7 +126,8 @@ def test_spsa_config_validation():
                           (dict(a=np.inf), r"a must be finite and >= 0, got inf"),
                           (dict(c=np.inf), r"c must be finite and > 0, got inf"),
                           (dict(c=np.nan), r"c must be finite and > 0, got nan"),
-                          (dict(iterations=2.5), r"iterations must be an int >= 1, got 2\.5")]:
+                          (dict(iterations=2.5), r"iterations must be an int >= 1, got 2\.5"),
+                          (dict(iterations=True), r"iterations must be an int >= 1, got True")]:
         with pytest.raises(InvalidParameterError, match=match):
             SpsaConfig(**kwargs)
 
