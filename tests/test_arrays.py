@@ -174,6 +174,82 @@ def test_normalize_matches_two_pass_formula():
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def two_pass_normalize(x, axes, gain, shift, eps=1e-5):
+    mu = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
+    return (x - mu) / np.sqrt(var + eps) * gain.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1)
+
+
+@pytest.mark.parametrize("kind,axes", [("layer", (1, 2, 3)), ("instance", (2, 3))])
+def test_normalize_out_aliasing_and_views(kind, axes):
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((2, 3, 7, 5)) * 3 + 1.5
+    gain, shift = rng.standard_normal(3), rng.standard_normal(3)
+    want = two_pass_normalize(x, axes, gain, shift)
+    tol = 1e-12 * np.abs(want).max()
+    fresh = normalize(x, kind, gain, shift)
+    assert np.abs(fresh - want).max() <= tol
+    buf = rng.standard_normal((3, 6, 9, 12))
+    view = buf[1:, 2:5, 1:8, ::2][:, :, :, :5]
+    before = buf.copy()
+    assert normalize(x, kind, gain, shift, out=view) is view
+    npt.assert_array_equal(view, fresh)
+    untouched = np.ones(buf.shape, bool)
+    untouched[1:, 2:5, 1:8, 0:10:2] = False
+    npt.assert_array_equal(buf[untouched], before[untouched])
+    y = x.copy()
+    assert normalize(y, kind, gain, shift, out=y) is y
+    npt.assert_array_equal(y, fresh)
+
+
+def test_normalize_propagates_non_finite():
+    x = np.random.default_rng(10).standard_normal((1, 3, 4, 5))
+    x[0, 0, 1, 2] = np.nan
+    x[0, 1, 3, 0] = np.inf
+    x[0, 2, 0, 0] = -0.0
+    gain, shift = np.ones(3), np.zeros(3)
+    with np.errstate(invalid="ignore"):
+        got = normalize(x, "instance", gain, shift)
+        want = two_pass_normalize(x, (2, 3), gain, shift)
+        in_place = x.copy()
+        normalize(in_place, "instance", gain, shift, out=in_place)
+    npt.assert_array_equal(np.isnan(got), np.isnan(want))
+    assert np.isnan(got[0, :2]).all()  # a NaN or inf reaches its whole plane
+    assert np.abs(got[0, 2] - want[0, 2]).max() <= 1e-12 * np.abs(want[0, 2]).max()
+    npt.assert_array_equal(in_place, got)
+
+
+def where_prelu(x, a):
+    a = np.asarray(a, dtype=float).reshape(1, -1, 1, 1)
+    return np.where(x >= 0, x, a * x)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    npt.assert_array_equal(np.isnan(got), np.isnan(want))
+    npt.assert_array_equal(np.signbit(got), np.signbit(want))
+    npt.assert_array_equal(got[~np.isnan(got)], want[~np.isnan(want)])
+
+
+@pytest.mark.parametrize("a", [[0.25, 1.0, 1e-3], [-0.5, 2.0, 0.25], [0.0, 0.3, 0.7]])
+def test_prelu_out_matches_where_form(a):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((2, 3, 6, 5))
+    x[0, :, 0, :5] = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+    with np.errstate(invalid="ignore"):  # a = 0 times inf
+        want = where_prelu(x, a)
+        assert_same_bits(prelu(x, np.array(a)), want)
+        y = x.copy()
+        assert prelu(y, np.array(a), out=y) is y
+        assert_same_bits(y, want)
+        buf = np.full((2, 5, 8, 11), 7.0)
+        view = buf[:, 1:4, 1:7, ::2][..., :5]
+        assert prelu(x, np.array(a), out=view) is view
+        assert_same_bits(view, want)
+    assert (buf == 7.0).sum() == buf.size - view.size
+    assert np.signbit(prelu(np.array(-0.0).reshape(1, 1, 1, 1), 0.25)).all()
+
+
 def test_activations():
     x = np.linspace(-5, 5, 11)
     s = sigmoid(x)

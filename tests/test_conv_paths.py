@@ -2,16 +2,18 @@
 
 The oracle contracts a sliding-window (im2col) view per group, and runs a
 transposed conv as a stride-1 correlation of the zero-stuffed input with
-the flipped kernel. It shares only the operand checks and the bias add with
-`lort.arrays.conv2d`, so it checks every path's arithmetic independently.
+the flipped kernel, then adds the bias. It shares only the operand checks
+with `lort.arrays.conv2d`, so it checks every path's arithmetic, bias add
+included, independently.
 Specs are drawn from a seeded generator so every run checks the same cases.
 """
 import numpy as np
 import pytest
 
 from lort import model
-from lort.arrays import ConvSpec, FlopMeter, _check_conv, _finish, conv2d, same_pad
+from lort.arrays import ConvSpec, FlopMeter, _check_conv, add_macs, conv2d, same_pad
 from lort.errors import InvalidSpecError
+from lort.layers import init_store
 from lort.objectives import discriminate
 from lort.signal import Waveform
 from lort.verify import micro_config
@@ -122,7 +124,10 @@ def conv2d_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     transposed convs on the zero-stuffed input. Same contract and MAC count."""
     macs = _check_conv(x, w, b, spec)
     out = _conv_zero_stuffed(x, w, spec) if spec.transposed else _conv_windows(x, w, spec)
-    return _finish(out, b, macs)
+    add_macs(macs)
+    if b is not None:
+        out = out + b.reshape(1, -1, 1, 1)
+    return out
 
 
 def assert_matches_reference(x, w, b, spec):
@@ -226,6 +231,54 @@ def test_noncontiguous_input():
         assert_matches_reference(x, rng.standard_normal((2, 3, *spec.kernel)), None, spec)
 
 
+def test_nonzero_bias_through_every_path():
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((2, 3, 7, 9))
+    for spec, wshape in [
+        (ConvSpec(kernel=(3, 3), dilation=(2, 1), padding=(2, 1)), (4, 3, 3, 3)),  # flat
+        (ConvSpec(kernel=(3, 3), groups=3, padding=(1, 1)), (3, 1, 3, 3)),         # flat, depthwise
+        (ConvSpec(kernel=(3, 3), stride=(2, 2), padding=(1, 1)), (4, 3, 3, 3)),    # strided
+        (ConvSpec(kernel=(2, 3), stride=(2, 2), padding=(0, 1), out_pad=(1, 0),
+                  transposed=True), (3, 4, 2, 3)),                                 # scatter
+    ]:
+        b = 10.0 + rng.standard_normal(wshape[1] if spec.transposed else wshape[0])
+        w = rng.standard_normal(wshape)
+        assert_matches_reference(x, w, b, spec)
+        # the bias promotes the result as `out + b` does: float32 operands
+        # with a float64 bias give float64, a complex bias gives complex
+        x32, w32 = x.astype(np.float32), w.astype(np.float32)
+        for xb, wb, bb, tol in [(x32, w32, b, 1e-5), (x, w, b + 1j * b[::-1], RTOL)]:
+            ref = conv2d_reference(xb, wb, bb, spec)
+            out = conv2d(xb, wb, bb, spec)
+            assert out.dtype == ref.dtype == np.result_type(xb, wb, bb)
+            assert np.abs(out - ref).max() <= tol * np.abs(ref).max(), spec
+
+
+def bordered_views(rng, batch=2, border=5):
+    """Padding-0 cases whose inputs are row-strided windows of a larger
+    buffer with a random (nonzero) border: (x, w, b, spec) per conv shape."""
+    cases = []
+    for c, cout, kernel, dilation, groups in [
+        (3, 4, (3, 3), (2, 2), 1),     # dense, dilated
+        (4, 4, (3, 3), (1, 1), 4),     # depthwise
+        (3, 2, (5, 1), (2, 1), 1),     # time axial
+        (5, 3, (1, 1), (1, 1), 1),     # pointwise over a channel slice
+    ]:
+        ph, pw = same_pad(kernel, dilation)
+        buf = rng.standard_normal((batch, c + 3, 8 + 2 * border, 11 + 2 * border))
+        x = buf[:, 1 : 1 + c, border - ph : border + 8 + ph, border - pw : border + 11 + pw]
+        spec = ConvSpec(kernel=kernel, dilation=dilation, groups=groups)
+        w = rng.standard_normal((cout, c // groups, *kernel))
+        cases.append((x, w, rng.standard_normal(cout), spec))
+    return cases
+
+
+def test_bordered_views_match_reference():
+    for x, w, b, spec in bordered_views(np.random.default_rng(18)):
+        assert not x.flags.c_contiguous
+        assert_matches_reference(x, w, b, spec)
+
+
 def test_model_up_convs_match_reference():
     rng = np.random.default_rng(14)
     for spec, cin, cout, hw in [
@@ -264,7 +317,8 @@ def test_groups_is_one_or_depthwise():
 
 def test_fast_paths_build_no_window_view(monkeypatch):
     """No conv the network runs, nor a whole forward with its critic,
-    reaches a sliding-window view: every path is per kernel tap."""
+    reaches a sliding-window view: every path is per kernel tap. Convs at
+    padding 0 over windows of a bordered buffer copy no input."""
     def no_windows(*args, **kwargs):
         raise AssertionError("window view built")
 
@@ -285,4 +339,18 @@ def test_fast_paths_build_no_window_view(monkeypatch):
     discriminate(mag, 0.5 * mag, ws)
     with pytest.raises(AssertionError, match="window view"):
         conv2d_reference(x, rng.standard_normal((3, 4, 3, 3)), None, ConvSpec(kernel=(3, 3)))
+
+    # Padding-0 convs over windows of a bordered buffer, and the dense stack
+    # built on them, read their input in place: no padded or contiguous copy.
+    def no_copy(*args, **kwargs):
+        raise AssertionError("input copied")
+
+    monkeypatch.setattr(np, "pad", no_copy)
+    monkeypatch.setattr(np, "ascontiguousarray", no_copy)
+    for case in bordered_views(rng):
+        conv2d(*case)
+    stack = model.dilated_dense("dense", 4, (1, 2, 4, 8))
+    stack(init_store(stack.manifest()), rng.standard_normal((2, 4, 9, 10)))
+    with pytest.raises(AssertionError, match="input copied"):
+        conv2d(x, rng.standard_normal((3, 4, 3, 3)), None, ConvSpec(kernel=(3, 3), padding=(1, 1)))
 

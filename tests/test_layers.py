@@ -1,9 +1,18 @@
 import inspect
+import tracemalloc
 
+import numpy as np
+import pytest
+
+import lort
 import lort.layers
 import lort.local_refine
 import lort.model
-from lort.layers import Conv, Layer, Norm, Param, PRelu
+from lort.errors import ShapeError
+from lort.layers import Conv, DenseStack, Layer, Norm, Param, PRelu, init_store
+from lort.local_refine import Lrc
+from lort.model import dilated_dense
+from lort.verify import make_toy_task, micro_config
 
 
 class Toy(Layer):
@@ -44,3 +53,101 @@ def test_only_leaves_define_a_manifest():
 def test_manifest_of_is_gone():
     assert not hasattr(lort.layers, "manifest_of")
     assert "manifest_of" not in lort.layers.__all__
+
+
+def dense_concat(stack, ws, x):
+    """Oracle of `DenseStack`: each layer runs on the channel concat of the
+    stack input and every earlier output, each conv at its own padding."""
+    feats = [x]
+    z = x
+    for layer in stack.layers:
+        z = np.concatenate(feats, axis=1) if len(feats) > 1 else x
+        for sub in layer:
+            z = sub(ws, z)
+        feats.append(z)
+    return z
+
+
+def stacks():
+    """(name, stack, input channels) of every dense stack the network builds,
+    and the norm-free skeleton of criterion 8."""
+    dense = dilated_dense("dense", 4, (1, 2, 4, 8))
+    lrc = Lrc("lrc", 6)
+    return [
+        ("dilated_dense", dense, 4),
+        ("dlc_t", lrc.dlc_t.dense, 6),
+        ("dlc_f", lrc.dlc_f.dense, 6),
+        ("skeleton", DenseStack(tuple(s for s in layer if not isinstance(s, Norm))
+                                for layer in dense.layers), 4),
+    ]
+
+
+def shifted_store(stack, seed):
+    """Weights with nonzero biases, norm shifts and varied PReLU slopes."""
+    rng = np.random.default_rng(seed)
+    ws = init_store(stack.manifest(), seed=seed)
+    for name in ws:
+        if name.endswith((".b", ".shift", ".a")):
+            ws[name] = ws[name] + 0.3 * rng.standard_normal(ws[name].shape)
+    return ws
+
+
+@pytest.mark.parametrize("name,stack,cin", stacks(), ids=[s[0] for s in stacks()])
+def test_dense_stack_matches_concat_oracle(name, stack, cin):
+    rng = np.random.default_rng(20)
+    ws = shifted_store(stack, 21)
+    x = rng.standard_normal((2, cin, 23, 17))
+    x_before = x.copy()
+    want = dense_concat(stack, ws, x)
+    got = stack(ws, x)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+    assert x.tobytes() == x_before.tobytes()  # the caller's input is not written
+
+
+def test_dense_stack_promotes_like_the_concat():
+    _, stack, cin = stacks()[0]
+    ws = shifted_store(stack, 23)
+    x = np.arange(2 * cin * 6 * 7).reshape(2, cin, 6, 7) % 5 - 2
+    want = dense_concat(stack, ws, x)
+    got = stack(ws, x)
+    assert got.dtype == want.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_dense_stack_rejects_other_channel_counts():
+    _, stack, cin = stacks()[0]
+    with pytest.raises(ShapeError, match="dense stack"):
+        stack(init_store(stack.manifest()), np.zeros((1, cin + 1, 5, 5)))
+
+
+def test_forward_leaves_caller_arrays_untouched():
+    """In-place epilogues write only arrays a layer allocated itself."""
+    cfg = micro_config()
+    ws = lort.model.init_discriminator(lort.init_weights(cfg, seed=5), seed=6)
+    noisy, clean = make_toy_task(cfg, seed=5, duration_s=0.25)
+    before = {name: ws[name].tobytes() for name in ws}
+    samples = noisy.samples.tobytes()
+    res = lort.forward(noisy, ws, cfg)
+    ref = lort.stft(clean, cfg.fft_len, cfg.win_len, cfg.hop)
+    lort.evaluate_losses(res.spec, ref, lort.LossWeights(*cfg.loss_weights), disc=ws)
+    assert noisy.samples.tobytes() == samples
+    assert {name: ws[name].tobytes() for name in ws} == before
+
+
+def test_dense_stack_peak_memory_is_one_buffer():
+    """One dilated_dense call allocates its bordered buffer and at most three
+    maps more (conv accumulator, per-tap temporary, epilogue temporary); a
+    concat or a padded copy of the layer inputs exceeds that."""
+    stack = dilated_dense("dense", 16, (1, 2, 4, 8))
+    ws = init_store(stack.manifest())
+    x = np.random.default_rng(22).standard_normal((1, 16, 128, 128))
+    stack(ws, x)  # warm any lazily allocated state
+    buffer = 64 * (128 + 16) * (128 + 16) * x.itemsize  # Cin + 3 growths, border 8
+    tracemalloc.start()
+    try:
+        stack(ws, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= buffer + 3 * x.nbytes, (peak, buffer, x.nbytes)
