@@ -305,7 +305,7 @@ def normalize(x: np.ndarray, kind: str, gain, shift, eps: float = 1e-5,
     The result goes to `out` when given (any view of x's shape, x itself
     included), else to a new array.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN fails this too
         raise InvalidParameterError(f"eps must be positive, got {eps}")
     if kind == "layer":
         axes = tuple(range(1, x.ndim))
@@ -345,13 +345,17 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 def prelu(x: np.ndarray, a, out: np.ndarray | None = None) -> np.ndarray:
     """x for x >= 0, a*x otherwise; `a` scalar or per-channel. The result
-    goes to `out` when given (x itself included), else to a new array."""
+    goes to `out` when given (x itself included), else to a new array; an
+    `out` that shares no memory with x takes no temporary."""
     a = _bcast(np.asarray(a, dtype=x.dtype), x.ndim)
     if np.all((a > 0) & (a <= 1)):
         # for 0 < a <= 1 the larger of x and a*x is the select, bit for bit
         # (signed zeros, infinities and NaN included), and runs ≈4x faster
         # per call than np.where or the masked multiply below
-        return np.maximum(x, x * a, out=out)
+        if out is None or np.may_share_memory(x, out):
+            return np.maximum(x, x * a, out=out)
+        np.multiply(x, a, out=out)
+        return np.maximum(x, out, out=out)
     neg = x < 0  # taken before out, which may be x, is written
     if out is None:
         out = x.copy()

@@ -104,7 +104,8 @@ class PRelu(Layer):
 class DenseStack(Layer):
     """Densely connected stack. Each layer is a tuple of sub-layers applied
     in order to the channel concat of the stack input and every earlier
-    layer's output; the last layer's output is returned.
+    layer's output; the last layer's output is returned. An optional `stem`
+    conv runs first, and its output is the stack input.
 
     A layer's first sub-layer is a stride-1 Conv; the others are Convs, or
     epilogues (Norm, PRelu) that take `out=`. No concat is built: one
@@ -112,13 +113,16 @@ class DenseStack(Layer):
     every layer output but the last, where C_last is the last layer's input
     channels and P the largest padding of the layers' first convs. Layer
     j's first conv reads its channels and its own border of that buffer as
-    a view at padding 0, and the first epilogue writes the layer's output
-    into its channel slice, the later ones in place; the last layer's
-    epilogues run in place on its conv output (Pleiss et al.,
-    "Memory-Efficient Implementation of DenseNets", arXiv:1707.06990).
+    a view at padding 0. Each later sub-layer of a layer runs on that
+    conv's fresh output, the epilogues in place, and only the last one
+    writes into the layer's channel slice. The buffer is released once the
+    last layer's first conv has read it, so the last layer's other
+    sub-layers run beside no buffer (Pleiss et al., "Memory-Efficient
+    Implementation of DenseNets", arXiv:1707.06990).
     """
 
-    def __init__(self, layers):
+    def __init__(self, layers, stem: Conv | None = None):
+        self.stem = stem
         self.layers = [tuple(layer) for layer in layers]
         heads = [layer[0] for layer in self.layers]
         self._cins = [conv.cin for conv in heads]
@@ -128,6 +132,8 @@ class DenseStack(Layer):
         self._specs = [replace(conv.spec, padding=(0, 0)) for conv in heads]
 
     def __call__(self, ws, x):
+        if self.stem is not None:
+            x = self.stem(ws, x)
         cins = self._cins
         if x.ndim != 4 or x.shape[1] != cins[0]:
             raise ShapeError(f"dense stack expects (B, {cins[0]}, H, W), got shape {x.shape}")
@@ -137,20 +143,34 @@ class DenseStack(Layer):
         buf = np.zeros((b, cins[-1], h + 2 * bh, w + 2 * bw), dtype=dtype)
         maps = buf[:, :, bh : bh + h, bw : bw + w]
         maps[:, :c] = x
-        for j, layer in enumerate(self.layers):
-            ph, pw = self._pads[j]
-            view = buf[:, : cins[j], bh - ph : bh + h + ph, bw - pw : bw + w + pw]
-            head = layer[0]
-            z = conv2d(view, ws[f"{head.name}.w"], ws[f"{head.name}.b"], self._specs[j])
-            dst = maps[:, cins[j] : cins[j + 1]] if j + 1 < len(cins) else None
-            for sub in layer[1:]:
-                if isinstance(sub, Conv):
-                    z = sub(ws, z)
-                else:  # an epilogue: into the layer's slice, then in place
-                    z = sub(ws, z, out=z if dst is None else dst)
-            if dst is not None and z is not dst:
-                dst[...] = z
-        return z
+        del x  # a stem's output lives on in the buffer only
+        for j, layer in enumerate(self.layers[:-1]):
+            _tail(ws, layer[1:], self._head(ws, buf, j), maps[:, cins[j] : cins[j + 1]])
+        z = self._head(ws, buf, len(cins) - 1)
+        del buf, maps  # the last head conv was the buffer's last reader
+        return _tail(ws, self.layers[-1][1:], z)
+
+    def _head(self, ws, buf, j):
+        """Layer j's first conv over its channels and border of the buffer."""
+        (bh, bw), (ph, pw) = self._border, self._pads[j]
+        h, w = buf.shape[2] - 2 * bh, buf.shape[3] - 2 * bw
+        conv = self.layers[j][0]
+        view = buf[:, : self._cins[j], bh - ph : bh + h + ph, bw - pw : bw + w + pw]
+        return conv2d(view, ws[f"{conv.name}.w"], ws[f"{conv.name}.b"], self._specs[j])
+
+
+def _tail(ws, subs, z, out=None):
+    """Apply a dense layer's sub-layers after its first conv to that conv's
+    fresh output z: a Conv makes a new map, an epilogue runs in place, and
+    the last sub-layer's result goes to `out` when one is given."""
+    for k, sub in enumerate(subs, 1):
+        if isinstance(sub, Conv):
+            z = sub(ws, z)
+        else:
+            z = sub(ws, z, out=z if out is None or k < len(subs) else out)
+    if out is not None and z is not out:
+        out[...] = z
+    return z
 
 
 def init_store(manifest, seed=0, store=None) -> WeightStore:

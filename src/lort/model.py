@@ -9,6 +9,7 @@ and the forward pass.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import ClassVar
@@ -127,26 +128,28 @@ def _first8(names) -> str:
 # ---------------------------------------------------------------------------
 # Composites
 
-def dilated_dense(prefix, channels, dilations) -> DenseStack:
+def dilated_dense(prefix, channels, dilations, stem=None) -> DenseStack:
     """Densely connected dilated 3x3 convolution stack (C channels kept)."""
     c = channels
     return DenseStack(
-        (Conv(f"{prefix}.layer{j}.conv", c * (j + 1), c, (3, 3), dilation=(d, d)),
-         Norm(f"{prefix}.layer{j}.norm", c, "instance"),
-         PRelu(f"{prefix}.layer{j}.act", c))
-        for j, d in enumerate(dilations)
+        ((Conv(f"{prefix}.layer{j}.conv", c * (j + 1), c, (3, 3), dilation=(d, d)),
+          Norm(f"{prefix}.layer{j}.norm", c, "instance"),
+          PRelu(f"{prefix}.layer{j}.act", c))
+         for j, d in enumerate(dilations)),
+        stem,
     )
 
 
 class Encoder(Layer):
     def __init__(self, cfg: ModelConfig):
         c = cfg.channels
-        self.in_conv = Conv("encoder.in_conv", 2, c, (1, 1))
-        self.dense = dilated_dense("encoder.dense", c, cfg.densenet_dilations)
+        # the stack runs the 1x1 stem, so only its buffer keeps the stem's output
+        self.dense = dilated_dense("encoder.dense", c, cfg.densenet_dilations,
+                                   stem=Conv("encoder.in_conv", 2, c, (1, 1)))
         self.down_f = Conv("encoder.down_f", c, c, (1, 3), stride=(1, 2), padding=(0, 1))
 
     def __call__(self, ws, x):
-        return self.down_f(ws, self.dense(ws, self.in_conv(ws, x)))
+        return self.down_f(ws, self.dense(ws, x))
 
 
 class Dsdcn(Layer):
@@ -302,16 +305,16 @@ class LortModel(Layer):
         self.up = Conv("up", cb, c, (2, 2), stride=(2, 2), padding=(0, 0), transposed=True)
         self.mag_dec = MagDecoder(cfg)
         self.phase_dec = PhaseDecoder(cfg)
+        self.shapes = {name: shape for name, shape, _ in self.manifest()}
 
     def param_names(self):
-        return [name for name, _, _ in self.manifest()]
+        return list(self.shapes)
 
     # -- forward ------------------------------------------------------------
 
     def trunk(self, ws, feat: np.ndarray) -> np.ndarray:
         """Encoder through transformer stack back to (B, C, T, enc_bins)."""
-        enc = self.encoder(ws, feat)
-        skip = self.embed(ws, enc)
+        skip = self.embed(ws, self.encoder(ws, feat))
         h = self.down(ws, skip)
         for block in self.blocks:
             h = block(ws, h)
@@ -320,7 +323,7 @@ class LortModel(Layer):
 
     def forward(self, noisy: Waveform, ws: WeightStore) -> ForwardResult:
         self.cfg.check_rate(noisy)
-        shapes = {name: shape for name, shape, _ in self.manifest()}
+        shapes = self.shapes
         missing = ws.missing(shapes)
         if missing:
             raise WeightLookupError(f"weight store incomplete; missing {_first8(missing)}")
@@ -375,7 +378,9 @@ _CRITIC_NAMES = frozenset(name for name, _, _ in Discriminator().manifest())
 # ---------------------------------------------------------------------------
 # Module-level conveniences
 
+@functools.lru_cache(maxsize=8)
 def build_model(cfg: ModelConfig) -> LortModel:
+    """The model of `cfg`, built once per config: nothing mutates a model."""
     return LortModel(cfg)
 
 

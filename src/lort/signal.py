@@ -128,8 +128,20 @@ def read_wav(data: bytes) -> Waveform:
     return Waveform(pcm.astype(np.float64) / 32768.0, int(rate))
 
 
+_U32 = 2**32 - 1
+
+
 def write_wav(wf: Waveform) -> bytes:
     """Serialize a Waveform as a canonical 44-byte-header PCM16 mono file."""
+    # the header's byte-rate and RIFF size fields are 32-bit
+    if 2 * wf.sample_rate > _U32:
+        raise InvalidInputError(
+            f"sample_rate {wf.sample_rate} Hz is too high for a WAV header: its byte rate "
+            f"2 * sample_rate must fit in 32 bits")
+    if 36 + 2 * len(wf) > _U32:
+        raise InvalidInputError(
+            f"{len(wf)} samples are too many for one WAV file: the RIFF size field "
+            f"36 + 2 * samples must fit in 32 bits")
     pcm = np.clip(np.rint(wf.samples * 32768.0), -32768, 32767).astype("<i2")
     data = pcm.tobytes()
     hdr = struct.pack(

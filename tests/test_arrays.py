@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -159,6 +161,8 @@ def test_normalize_gain_shift_and_errors():
         normalize(x, "batch", 1.0, 0.0)
     with pytest.raises(InvalidParameterError):
         normalize(x, "layer", 1.0, 0.0, eps=0.0)
+    with pytest.raises(InvalidParameterError, match="eps must be positive, got nan"):
+        normalize(x, "instance", 1.0, 0.0, eps=float("nan"))
 
 
 def test_normalize_matches_two_pass_formula():
@@ -246,8 +250,26 @@ def test_prelu_out_matches_where_form(a):
         view = buf[:, 1:4, 1:7, ::2][..., :5]
         assert prelu(x, np.array(a), out=view) is view
         assert_same_bits(view, want)
+        other = np.full_like(x, 7.0)  # a separate contiguous out
+        assert prelu(x, np.array(a), out=other) is other
+        assert_same_bits(other, want)
     assert (buf == 7.0).sum() == buf.size - view.size
     assert np.signbit(prelu(np.array(-0.0).reshape(1, 1, 1, 1), 0.25)).all()
+
+
+def test_prelu_into_a_separate_out_allocates_no_map():
+    x = np.random.default_rng(12).standard_normal((1, 16, 128, 128))
+    a = np.full(16, 0.25)
+    y = np.empty_like(x)
+    prelu(x, a, out=y)  # warm any lazily allocated state
+    tracemalloc.start()
+    try:
+        prelu(x, a, out=y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes, (peak, x.nbytes)
+    assert_same_bits(y, where_prelu(x, a))
 
 
 def test_activations():

@@ -11,7 +11,7 @@ import lort.model
 from lort.errors import ShapeError
 from lort.layers import Conv, DenseStack, Layer, Norm, Param, PRelu, init_store
 from lort.local_refine import Lrc
-from lort.model import dilated_dense
+from lort.model import Encoder, ModelConfig, dilated_dense
 from lort.verify import make_toy_task, micro_config
 
 
@@ -151,3 +151,25 @@ def test_dense_stack_peak_memory_is_one_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= buffer + 3 * x.nbytes, (peak, buffer, x.nbytes)
+
+
+def test_encoder_peak_memory_is_its_buffer_and_two_maps():
+    """The encoder frees every map it has stopped reading: its stack runs
+    the stem into the buffer and keeps no stem output, each layer's
+    epilogues write into the buffer without a temporary, and the buffer
+    goes before the last layer's epilogues and the strided down_f. The
+    stem output held beside the stack, prelu's a*x product and the
+    previous layer's accumulator (≈3 maps more) exceed the bound."""
+    encoder = Encoder(ModelConfig())  # 16 channels
+    ws = init_store(encoder.manifest())
+    x = np.random.default_rng(24).standard_normal((1, 2, 256, 256))
+    encoder(ws, x)  # warm any lazily allocated state
+    buffer = 64 * (256 + 16) * (256 + 16) * x.itemsize  # 16 + 3 growths, border 8
+    feature_map = 16 * 256 * 256 * x.itemsize
+    tracemalloc.start()
+    try:
+        encoder(ws, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= buffer + 2 * feature_map, (peak, buffer, feature_map)

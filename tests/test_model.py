@@ -185,6 +185,34 @@ def test_forward_rejects_weights_of_another_config():
         forward(noise(4000), ws, MICRO)
 
 
+def test_forward_builds_one_model_per_config_and_checks_every_store(monkeypatch):
+    built = []
+    init = lort.model.LortModel.__init__
+
+    def counting_init(self, cfg):
+        built.append(cfg)
+        init(self, cfg)
+
+    monkeypatch.setattr(lort.model.LortModel, "__init__", counting_init)
+    build_model.cache_clear()
+    ws = init_weights(MICRO, seed=2)
+    first = forward(noise(2000), ws, MICRO)
+    second = forward(noise(2000), ws, MICRO)
+    assert built == [MICRO]
+    npt.assert_array_equal(first.wave.samples, second.wave.samples)
+    # the store is still checked on every call of the reused model
+    reshaped, partial = WeightStore(), WeightStore()
+    for name, arr in ws.items():
+        reshaped[name] = np.zeros((4, 2, 1, 2)) if name == "encoder.in_conv.w" else arr
+        if name != "block0.ln1.gain":
+            partial[name] = arr
+    with pytest.raises(ShapeError, match=r"'encoder\.in_conv\.w'"):
+        forward(noise(2000), reshaped, MICRO)
+    with pytest.raises(WeightLookupError, match=r"missing \['block0\.ln1\.gain'\]"):
+        forward(noise(2000), partial, MICRO)
+    assert built == [MICRO]
+
+
 def test_forward_rejects_tensors_no_layer_declares():
     ws = init_weights(TWO_BLOCKS)
     with pytest.raises(WeightLookupError, match=r"no layer .* declares: \['block1\."):

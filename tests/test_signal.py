@@ -106,6 +106,23 @@ def test_waveform_validation():
             Waveform(np.zeros(4), sample_rate=rate)
 
 
+def test_write_wav_rejects_what_the_header_cannot_hold():
+    # read_wav takes any 32-bit rate; the byte rate 2 * rate must fit too
+    data = bytearray(write_wav(make_noise(8)))
+    data[24:28] = (2**31).to_bytes(4, "little")  # nSamplesPerSec
+    wf = read_wav(bytes(data))
+    assert wf.sample_rate == 2**31
+    with pytest.raises(InvalidInputError, match=r"sample_rate 2147483648 "):
+        write_wav(wf)
+    assert len(write_wav(Waveform(np.zeros(4), 2**31 - 1))) == 52
+    # the RIFF size 36 + 2 * samples must fit as well (a read-only
+    # broadcast stands in for 2**31 samples)
+    wf = make_noise(4)
+    wf.samples = np.broadcast_to(0.0, (2**31,))
+    with pytest.raises(InvalidInputError, match=r"2147483648 samples are too many"):
+        write_wav(wf)
+
+
 # ---------------------------------------------------------------------------
 # STFT / iSTFT
 
