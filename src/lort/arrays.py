@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidSpecError, ShapeError
+from .errors import InvalidParameterError, InvalidSpecError, ShapeError, check_int
 
 __all__ = [
     "ConvSpec",
@@ -92,8 +92,7 @@ class ConvSpec:
         if self.out_pad[0] >= self.stride[0] or self.out_pad[1] >= self.stride[1]:
             raise InvalidSpecError(
                 f"out_pad must be below stride {self.stride} componentwise, got {self.out_pad}")
-        if type(self.groups) is not int or self.groups < 1:
-            raise InvalidSpecError(f"groups must be an int >= 1, got {self.groups!r}")
+        check_int("groups", self.groups, 1, InvalidSpecError)
         if self.groups > 1 and (self.transposed or self.stride != (1, 1)):
             raise InvalidSpecError(
                 f"groups={self.groups} (depthwise) needs stride (1, 1) and no transposition")
@@ -331,16 +330,20 @@ def normalize(x: np.ndarray, kind: str, gain, shift, eps: float = 1e-5,
 # Activations
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    z = np.asarray(x)
-    if z.dtype.kind != "f":
-        z = z.astype(np.float64)
+    """1 / (1 + exp(-x)), each step in place on one fresh array, which is returned."""
+    z = np.empty(np.shape(x), dtype=np.result_type(x, 1.0))
     # clip keeps exp finite; saturation is exact at double precision anyway
-    z = np.clip(z, -709.0, 709.0)
-    return 1.0 / (1.0 + np.exp(-z))
+    np.clip(x, -709.0, 709.0, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    return x * sigmoid(x)
+    s = sigmoid(x)
+    # x first: for a NaN input the product keeps x's NaN, as x * s did
+    return np.multiply(x, s, out=s)
 
 
 def prelu(x: np.ndarray, a, out: np.ndarray | None = None) -> np.ndarray:

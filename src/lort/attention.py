@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import add_macs, sigmoid, softmax
-from .errors import DegenerateAttentionError, ShapeError
+from .errors import DegenerateAttentionError, ShapeError, check_int
 
 __all__ = [
     "AttentionInput",
@@ -46,14 +46,12 @@ class OpCount:
     tmsa_ops: int
 
 
-def softmax_attention(ain: AttentionInput, scale: float | None = None) -> np.ndarray:
-    """Exact softmax attention; reference oracle, clarity over speed."""
+def softmax_attention(ain: AttentionInput) -> np.ndarray:
+    """Exact softmax attention over the unscaled q . k logits, the function
+    Taylor attention expands; reference oracle, clarity over speed."""
     q, k, v = ain.q, ain.k, ain.v
     h, n, dh = q.shape
-    if scale is None:
-        scale = 1.0 / np.sqrt(dh)
-    logits = np.einsum("hid,hjd->hij", q, k) * scale
-    weights = softmax(logits, axis=-1)
+    weights = softmax(np.einsum("hid,hjd->hij", q, k), axis=-1)
     add_macs(2 * h * n * n * dh)
     return np.einsum("hij,hjd->hid", weights, v)
 
@@ -121,8 +119,8 @@ def scea(x: np.ndarray, ws, ch, sp) -> np.ndarray:
 
 def count_ops(t: int, f: int, d: int) -> OpCount:
     """Closed-form operation counts for standard MHSA and T-MSA."""
-    if min(t, f, d) < 1:
-        raise ShapeError(f"t, f, D must all be >= 1, got ({t}, {f}, {d})")
+    for name, value in (("t", t), ("f", f), ("d", d)):
+        check_int(name, value, 1, ShapeError)
     mhsa = 4 * t * f * d * d + 2 * t * t * f * f * d
     tmsa = 18 * t * f * d + 2 * t * f * d * d
     return OpCount(mhsa_ops=mhsa, tmsa_ops=tmsa)

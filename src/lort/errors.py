@@ -43,3 +43,10 @@ class WeightFormatError(LortError):
 
 class DivergenceError(LortError):
     """An optimization run exceeded its divergence guard."""
+
+
+def check_int(name: str, value, low: int, error: type[LortError]) -> None:
+    """Raise `error` naming `name` unless `value` is a Python int >= `low`;
+    a bool or a numpy int is rejected (`type(value) is int`)."""
+    if type(value) is not int or value < low:
+        raise error(f"{name} must be an int >= {low}, got {value!r}")

@@ -104,8 +104,10 @@ class PRelu(Layer):
 class DenseStack(Layer):
     """Densely connected stack. Each layer is a tuple of sub-layers applied
     in order to the channel concat of the stack input and every earlier
-    layer's output; the last layer's output is returned. An optional `stem`
-    conv runs first, and its output is the stack input.
+    layer's output; the last layer's output is returned. A `stem` conv
+    handed to the call runs first, and its output is the stack input: the
+    stack then holds that map only in its buffer, where a caller's
+    argument would keep it alive for the whole stack.
 
     A layer's first sub-layer is a stride-1 Conv; the others are Convs, or
     epilogues (Norm, PRelu) that take `out=`. No concat is built: one
@@ -121,8 +123,7 @@ class DenseStack(Layer):
     Implementation of DenseNets", arXiv:1707.06990).
     """
 
-    def __init__(self, layers, stem: Conv | None = None):
-        self.stem = stem
+    def __init__(self, layers):
         self.layers = [tuple(layer) for layer in layers]
         heads = [layer[0] for layer in self.layers]
         self._cins = [conv.cin for conv in heads]
@@ -131,9 +132,9 @@ class DenseStack(Layer):
         # the heads read their padding from the buffer's border
         self._specs = [replace(conv.spec, padding=(0, 0)) for conv in heads]
 
-    def __call__(self, ws, x):
-        if self.stem is not None:
-            x = self.stem(ws, x)
+    def __call__(self, ws, x, stem: Conv | None = None):
+        if stem is not None:
+            x = stem(ws, x)
         cins = self._cins
         if x.ndim != 4 or x.shape[1] != cins[0]:
             raise ShapeError(f"dense stack expects (B, {cins[0]}, H, W), got shape {x.shape}")

@@ -41,7 +41,8 @@ class Dlc(Layer):
     def __call__(self, ws, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise ShapeError(f"dlc expects (B, C, T, F), got shape {x.shape}")
-        return x + self.pw_out(ws, self.dense(ws, self.pw_in(ws, x)))
+        # the stack runs pw_in, so only its buffer keeps pw_in's output
+        return x + self.pw_out(ws, self.dense(ws, x, stem=self.pw_in))
 
 
 class Lrc(Layer):
@@ -75,6 +76,6 @@ def lrc_block(lrc: Lrc, ws, x: np.ndarray) -> np.ndarray:
     The gate scales the value branch's deviation from the input, so a
     zero-weight parameterization reduces the block to the identity map.
     """
+    value = tf_dlc(lrc, ws, x)  # first, so the gate is not alive while it runs
     gate = sigmoid(cfn(lrc, ws, x))
-    value = tf_dlc(lrc, ws, x)
     return x + gate * (value - x)

@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from . import attention as att
 from .arrays import FlopMeter, lsigmoid, silu
-from .errors import InvalidInputError, InvalidParameterError, ShapeError, WeightLookupError
+from .errors import (InvalidInputError, InvalidParameterError, ShapeError, WeightLookupError,
+                     check_int)
 from .layers import Conv, DenseStack, Layer, Norm, Param, PRelu, init_store, zero_store
 from .local_refine import Lrc, lrc_block
-from .signal import (OLA_FLOOR, SAMPLE_RATE, ComplexSpec, Waveform, angle, decompose,
-                     invertible, istft, recompose, stft)
+from .signal import (OLA_FLOOR, SAMPLE_RATE, ComplexSpec, Waveform, angle, check_stft_sizes,
+                     decompose, invertible, istft, recompose, stft)
 from .weights import WeightStore
 
 __all__ = [
@@ -56,23 +57,11 @@ class ModelConfig:
     loss_weights: ClassVar[tuple[float, ...]] = (0.1, 0.9, 0.3, 0.1, 0.05)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidParameterError(f"{f.name} must be an int, got {value!r}")
-        if self.n_blocks < 1:
-            raise InvalidParameterError(f"n_blocks must be >= 1, got {self.n_blocks}")
-        if self.channels < 2 or self.channels % 2:
-            raise InvalidParameterError(f"channels must be even and >= 2, got {self.channels}")
-        if self.block_channel_mult < 1:
-            raise InvalidParameterError(
-                f"block_channel_mult must be >= 1, got {self.block_channel_mult}"
-            )
-        if not 1 <= self.hop <= self.win_len <= self.fft_len:
-            raise InvalidParameterError(
-                f"need 1 <= hop <= win_len <= fft_len, got hop={self.hop}, "
-                f"win_len={self.win_len}, fft_len={self.fft_len}"
-            )
+        for name, low in (("n_blocks", 1), ("channels", 2), ("block_channel_mult", 1)):
+            check_int(name, getattr(self, name), low, InvalidParameterError)
+        if self.channels % 2:
+            raise InvalidParameterError(f"channels must be even, got {self.channels}")
+        check_stft_sizes(self.fft_len, self.win_len, self.hop, InvalidParameterError)
         if not invertible(self.win_len, self.hop):
             raise InvalidParameterError(
                 f"win_len={self.win_len} with hop={self.hop} is not invertible: the "
@@ -128,28 +117,27 @@ def _first8(names) -> str:
 # ---------------------------------------------------------------------------
 # Composites
 
-def dilated_dense(prefix, channels, dilations, stem=None) -> DenseStack:
+def dilated_dense(prefix, channels, dilations) -> DenseStack:
     """Densely connected dilated 3x3 convolution stack (C channels kept)."""
     c = channels
     return DenseStack(
-        ((Conv(f"{prefix}.layer{j}.conv", c * (j + 1), c, (3, 3), dilation=(d, d)),
-          Norm(f"{prefix}.layer{j}.norm", c, "instance"),
-          PRelu(f"{prefix}.layer{j}.act", c))
-         for j, d in enumerate(dilations)),
-        stem,
+        (Conv(f"{prefix}.layer{j}.conv", c * (j + 1), c, (3, 3), dilation=(d, d)),
+         Norm(f"{prefix}.layer{j}.norm", c, "instance"),
+         PRelu(f"{prefix}.layer{j}.act", c))
+        for j, d in enumerate(dilations)
     )
 
 
 class Encoder(Layer):
     def __init__(self, cfg: ModelConfig):
         c = cfg.channels
-        # the stack runs the 1x1 stem, so only its buffer keeps the stem's output
-        self.dense = dilated_dense("encoder.dense", c, cfg.densenet_dilations,
-                                   stem=Conv("encoder.in_conv", 2, c, (1, 1)))
+        self.in_conv = Conv("encoder.in_conv", 2, c, (1, 1))
+        self.dense = dilated_dense("encoder.dense", c, cfg.densenet_dilations)
         self.down_f = Conv("encoder.down_f", c, c, (1, 3), stride=(1, 2), padding=(0, 1))
 
     def __call__(self, ws, x):
-        return self.down_f(ws, self.dense(ws, x))
+        # the stack runs the 1x1 stem, so only its buffer keeps the stem's output
+        return self.down_f(ws, self.dense(ws, x, stem=self.in_conv))
 
 
 class Dsdcn(Layer):

@@ -12,7 +12,7 @@ import numpy as np
 from .arrays import sigmoid
 from .errors import InvalidParameterError, ShapeError
 from .model import Discriminator, ModelConfig
-from .signal import ComplexSpec, Waveform, istft, stft
+from .signal import ComplexSpec, Waveform, decompose, istft, stft
 
 __all__ = [
     "LossWeights",
@@ -262,10 +262,8 @@ def evaluate_losses(est: ComplexSpec, ref: ComplexSpec, w: LossWeights | None = 
     The adversarial term is included only when discriminator weights are
     supplied.
     """
-    est_m = np.hypot(est.re, est.im)
-    ref_m = np.hypot(ref.re, ref.im)
-    est_p = np.arctan2(est.im, est.re)
-    ref_p = np.arctan2(ref.im, ref.re)
+    est_m, est_p = decompose(est)
+    ref_m, ref_p = decompose(ref)
     l_ip, l_gd, l_iaf, _ = loss_phase(est_p, ref_p)
     lg = loss_g(ref_m, est_m, disc) if disc is not None else 0.0
     return total_loss(loss_ri(est, ref), loss_mag(est_m, ref_m), l_ip, l_gd, l_iaf,

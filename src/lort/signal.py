@@ -17,6 +17,7 @@ from .errors import (
     NonInvertibleWindowError,
     ShapeError,
     WavParseError,
+    check_int,
 )
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "read_wav",
     "write_wav",
     "hann_window",
+    "check_stft_sizes",
     "stft",
     "istft",
     "invertible",
@@ -49,9 +51,7 @@ class Waveform:
             raise InvalidInputError(f"waveform must be 1-D, got shape {self.samples.shape}")
         if not np.all(np.isfinite(self.samples)):
             raise InvalidInputError("waveform contains non-finite samples")
-        rate = self.sample_rate
-        if isinstance(rate, bool) or not isinstance(rate, int) or rate < 1:
-            raise InvalidInputError(f"sample_rate must be an int >= 1, got {rate!r}")
+        check_int("sample_rate", self.sample_rate, 1, InvalidInputError)
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -69,7 +69,7 @@ class ComplexSpec:
     hop: int
 
     def __post_init__(self) -> None:
-        _check_params(self.fft_len, self.win_len, self.hop)
+        check_stft_sizes(self.fft_len, self.win_len, self.hop, InvalidInputError)
         self.re = np.asarray(self.re, dtype=np.float64)
         self.im = np.asarray(self.im, dtype=np.float64)
         if self.re.shape != self.im.shape or self.re.ndim != 2:
@@ -175,21 +175,18 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
 
 
-def _check_params(fft_len: int, win_len: int, hop: int) -> None:
+def check_stft_sizes(fft_len: int, win_len: int, hop: int, error) -> None:
+    """Raise `error` unless the sizes are ints with 1 <= hop <= win_len <= fft_len."""
     for name, value in (("fft_len", fft_len), ("win_len", win_len), ("hop", hop)):
-        if not isinstance(value, (int, np.integer)):
-            raise InvalidInputError(f"{name} must be an int, got {value!r}")
-    if hop <= 0:
-        raise InvalidInputError(f"hop must be positive, got {hop}")
-    if win_len > fft_len:
-        raise InvalidInputError(f"win_len {win_len} exceeds fft_len {fft_len}")
-    if hop > win_len:
-        raise InvalidInputError(f"hop {hop} exceeds win_len {win_len}")
+        check_int(name, value, 1, error)
+    if not hop <= win_len <= fft_len:
+        raise error(f"need 1 <= hop <= win_len <= fft_len, got hop={hop}, "
+                    f"win_len={win_len}, fft_len={fft_len}")
 
 
 def stft(x: Waveform, fft_len: int, win_len: int, hop: int) -> ComplexSpec:
     """One-sided STFT with reflect center padding of win_len // 2 per side."""
-    _check_params(fft_len, win_len, hop)
+    check_stft_sizes(fft_len, win_len, hop, InvalidInputError)
     s = (x if isinstance(x, Waveform) else Waveform(x)).samples
     if s.size == 0:
         raise InvalidInputError("cannot transform an empty signal")
@@ -220,9 +217,8 @@ def invertible(win_len: int, hop: int) -> bool:
     every `hop` samples: its minimum over one steady-state hop period must
     reach OLA_FLOOR. This decides `istft`'s outcome on any signal longer
     than the window."""
-    for name, value in (("win_len", win_len), ("hop", hop)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise InvalidInputError(f"{name} must be an int >= 1, got {value!r}")
+    check_int("win_len", win_len, 1, InvalidInputError)
+    check_int("hop", hop, 1, InvalidInputError)
     window = hann_window(win_len)
     k = -(-win_len // hop)  # frames over one window; frame k-1 starts the steady state
     den = _overlap_add(np.tile(window * window, (k, 1)), hop)
@@ -231,8 +227,7 @@ def invertible(win_len: int, hop: int) -> bool:
 
 def istft(spec: ComplexSpec, out_len: int) -> Waveform:
     """Weighted overlap-add inverse with window-square normalization."""
-    if not isinstance(out_len, (int, np.integer)) or out_len < 0:
-        raise InvalidInputError(f"out_len must be an int >= 0, got {out_len!r}")
+    check_int("out_len", out_len, 0, InvalidInputError)
     w = hann_window(spec.win_len)
     frames = np.fft.irfft(spec.re + 1j * spec.im, n=spec.fft_len, axis=1)[:, : spec.win_len]
     frames = frames * w

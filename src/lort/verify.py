@@ -11,7 +11,7 @@ from typing import ClassVar
 import numpy as np
 
 from .attention import AttentionInput, softmax_attention, taylor_attention
-from .errors import DivergenceError, InvalidParameterError
+from .errors import DivergenceError, InvalidParameterError, check_int
 from .model import (
     ModelConfig,
     build_model,
@@ -54,10 +54,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Finite differences
 
-def finite_diff(f, theta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def finite_diff(f, theta: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a scalar function, coordinatewise."""
-    if eps <= 0:
-        raise InvalidParameterError(f"eps must be positive, got {eps}")
+    eps = 1e-5  # the fixed step
     theta = np.asarray(theta, dtype=np.float64)
     grad = np.empty_like(theta)
     it = np.nditer(theta, flags=["multi_index"])
@@ -106,13 +105,11 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
     return np.abs(analytic - numeric) / scale
 
 
-def gradcheck_losses(seed: int = 0, instances: int = 20, size: int = 8) -> GradCheckResult:
+def gradcheck_losses(seed: int = 0, instances: int = 20) -> GradCheckResult:
     """Analytic-vs-numeric comparison for every differentiable loss term."""
-    if isinstance(instances, bool) or not isinstance(instances, int) or instances < 1:
-        raise InvalidParameterError(f"instances must be an int >= 1, got {instances!r}")
-    if isinstance(size, bool) or not isinstance(size, int) or size < 3:
-        raise InvalidParameterError(f"size must be an int >= 3, got {size!r}")
+    check_int("instances", instances, 1, InvalidParameterError)
     rng = np.random.default_rng(seed)
+    size = 8  # each plane is 8 frames by 8 one-sided bins
     fft_len = 2 * (size - 1)
     hop = fft_len // 2
     worst, where, n_checked = 0.0, "none", 0
@@ -185,8 +182,7 @@ def taylor_error_sweep(scales=(1e-1, 1e-2, 1e-3), trials: int = 20,
     base draws are reused across scales so each trial's error curve is
     monotone in the scale.
     """
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise InvalidParameterError(f"trials must be an int >= 1, got {trials!r}")
+    check_int("trials", trials, 1, InvalidParameterError)
     scales = tuple(float(s) for s in scales)
     if (len(scales) < 2 or not all(0 < s < math.inf for s in scales)
             or any(b >= a for a, b in zip(scales, scales[1:]))):
@@ -205,7 +201,7 @@ def taylor_error_sweep(scales=(1e-1, 1e-2, 1e-3), trials: int = 20,
         err = 0.0
         for q, k, v in draws:
             ain = AttentionInput(s * q, k, v)
-            diff = taylor_attention(ain, normalize=False) - softmax_attention(ain, scale=1.0)
+            diff = taylor_attention(ain, normalize=False) - softmax_attention(ain)
             err = max(err, float(np.abs(diff).max()))
         points.append((s, err))
     logs = np.log([p[0] for p in points])
@@ -230,9 +226,7 @@ class SpsaConfig:
     smooth_window: ClassVar[int] = 10
 
     def __post_init__(self) -> None:
-        if (isinstance(self.iterations, bool) or not isinstance(self.iterations, int)
-                or self.iterations < 1):
-            raise InvalidParameterError(f"iterations must be an int >= 1, got {self.iterations!r}")
+        check_int("iterations", self.iterations, 1, InvalidParameterError)
         if not 0 < self.c < math.inf:
             raise InvalidParameterError(f"c must be finite and > 0, got {self.c}")
         if not 0 <= self.a < math.inf:
@@ -288,14 +282,15 @@ def _unflatten(theta: np.ndarray, template: WeightStore, names) -> WeightStore:
     return out
 
 
-def spsa_train(cfg: ModelConfig | None = None, spsa: SpsaConfig | None = None) -> SpsaResult:
-    """Two-evaluation SPSA descent of the composite loss on the toy task.
+def spsa_train(spsa: SpsaConfig | None = None) -> SpsaResult:
+    """Two-evaluation SPSA descent of the composite loss on the toy task of
+    `micro_config()`.
 
     The discriminator stays frozen at its random initialization; only the
     enhancement network's parameters move. Aborts with a diagnostic if the
     loss exceeds 10x its initial value.
     """
-    cfg = cfg or micro_config()
+    cfg = micro_config()
     spsa = spsa or SpsaConfig()
     rng = np.random.default_rng(spsa.seed)
 
@@ -340,16 +335,9 @@ def spsa_train(cfg: ModelConfig | None = None, spsa: SpsaConfig | None = None) -
 # ---------------------------------------------------------------------------
 # Capacity/complexity trends
 
-def table2_trend(cfgs: list[ModelConfig] | None = None, duration_s: float = 1.0) -> list[dict]:
-    """Parameter and FLOP figures per configuration (one dict per row)."""
-    if cfgs is None:
-        cfgs = [ModelConfig(n_blocks=n) for n in range(1, 6)]
-    rows = []
-    for cfg in cfgs:
-        rows.append({
-            "n_blocks": cfg.n_blocks,
-            "channels": cfg.channels,
-            "params": count_params(cfg),
-            "flops": estimate_flops(cfg, duration_s),
-        })
-    return rows
+def table2_trend(duration_s: float = 1.0) -> list[dict]:
+    """Parameter and FLOP figures of the reference config at 1 to 5 blocks
+    (one dict per row)."""
+    cfgs = [ModelConfig(n_blocks=n) for n in range(1, 6)]
+    return [{"n_blocks": cfg.n_blocks, "channels": cfg.channels, "params": count_params(cfg),
+             "flops": estimate_flops(cfg, duration_s)} for cfg in cfgs]

@@ -121,7 +121,7 @@ def test_criterion_05_phase_losses():
 
 def test_criterion_06_gradient_oracle():
     clock = Clock(30.0)
-    result = gradcheck_losses(seed=0, instances=20, size=8)
+    result = gradcheck_losses(seed=0, instances=20)
     assert result.max_rel_err <= 1e-4
     elapsed = clock.check()
     print(f"PASS criterion 6: max_rel_err {result.max_rel_err:.3g} at "
@@ -190,11 +190,14 @@ def test_criterion_08_receptive_fields():
 
 def test_criterion_09_capacity_trend():
     clock = Clock(120.0)
-    rows = table2_trend([ModelConfig(n_blocks=n) for n in range(1, 6)], duration_s=1.0)
+    rows = table2_trend(duration_s=1.0)  # the reference config at 1 to 5 blocks
+    assert all(set(r) == {"n_blocks", "channels", "params", "flops"} for r in rows)
+    assert [r["n_blocks"] for r in rows] == [1, 2, 3, 4, 5]
     p = [r["params"] for r in rows]
     f = [r["flops"] for r in rows]
     dp = np.diff(p)
     df = np.diff(f)
+    assert dp.min() > 0 and df.min() > 0
     assert dp.max() / dp.min() - 1.0 <= 0.05
     assert df.max() / df.min() - 1.0 <= 0.05
     p4 = p[3]

@@ -284,6 +284,48 @@ def test_activations():
     assert np.isfinite(sigmoid(np.array([1e6, -1e6]))).all()
 
 
+SIGMOID_EDGES = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                          709.5, -709.5, 709.0, -709.0, 1.0, -3.5, 40.0])
+
+
+def sigmoid_chain(x):
+    """sigmoid as a chain of fresh temporaries, the out-of-place form."""
+    z = np.asarray(x)
+    if z.dtype.kind != "f":
+        z = z.astype(np.float64)
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -709.0, 709.0)))
+
+
+@pytest.mark.parametrize("x", [SIGMOID_EDGES, SIGMOID_EDGES.astype(np.float32),
+                               np.float64(-0.3), np.array(2.5), np.arange(-3, 4),
+                               np.array([True, False])],
+                         ids=["float64", "float32", "scalar", "0-d", "int", "bool"])
+def test_sigmoid_and_silu_in_place_match_the_chain_bitwise(x):
+    # the clip bound 709 overflows float32's exp, and silu(-inf) is then
+    # -inf * 0, in both forms alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = ((sigmoid(x), sigmoid_chain(x)), (silu(x), x * sigmoid_chain(x)))
+    for got, want in pairs:
+        want = np.asarray(want)
+        # the fresh array itself comes back, a 0-d one included
+        assert type(got) is np.ndarray
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()  # NaN sign and payload included
+
+
+@pytest.mark.parametrize("fn", [sigmoid, silu])
+def test_sigmoid_and_silu_allocate_one_map(fn):
+    x = np.random.default_rng(13).standard_normal((1, 16, 128, 128))
+    fn(x)  # warm any lazily allocated state
+    tracemalloc.start()
+    try:
+        fn(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * x.nbytes, (peak, x.nbytes)
+
+
 def test_lsigmoid_range_and_validation():
     x = np.random.default_rng(0).standard_normal((4, 6))
     alpha = np.ones(6)

@@ -43,7 +43,7 @@ def test_zero_query_reduces_to_row_mean():
     zero_q = AttentionInput(np.zeros_like(ain.q), ain.k, ain.v)
     mean = np.broadcast_to(ain.v.mean(axis=1, keepdims=True), ain.v.shape)
     npt.assert_allclose(taylor_attention(zero_q, normalize=False), mean, atol=1e-12)
-    npt.assert_allclose(softmax_attention(zero_q, scale=1.0), mean, atol=1e-12)
+    npt.assert_allclose(softmax_attention(zero_q), mean, atol=1e-12)
 
 
 def test_softmax_attention_rows_are_convex_combinations():

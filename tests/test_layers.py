@@ -115,6 +115,16 @@ def test_dense_stack_promotes_like_the_concat():
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("name,stack,cin", stacks()[:2], ids=[s[0] for s in stacks()[:2]])
+def test_dense_stack_runs_the_stem_handed_to_the_call(name, stack, cin):
+    stem = Conv("stem", 3, cin, (1, 1))
+    ws = shifted_store(stack, 25)
+    for key, value in init_store(stem.manifest(), seed=26).items():
+        ws[key] = value
+    x = np.random.default_rng(27).standard_normal((2, 3, 11, 9))
+    assert stack(ws, x, stem=stem).tobytes() == stack(ws, stem(ws, x)).tobytes(), name
+
+
 def test_dense_stack_rejects_other_channel_counts():
     _, stack, cin = stacks()[0]
     with pytest.raises(ShapeError, match="dense stack"):

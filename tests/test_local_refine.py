@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 
@@ -56,3 +58,20 @@ def test_shapes_preserved_with_random_weights():
         out = fn(x)
         assert out.shape == x.shape
         assert np.all(np.isfinite(out))
+
+
+def test_lrc_block_peak_memory():
+    """Each DLC's stack runs pw_in as its stem, so no caller holds pw_in's
+    output, and the CFN gate is computed after TF-DLC, so it is not alive
+    while the DLCs run; either map held across the DLCs exceeds the bound."""
+    lrc = Lrc("lrc", 48)
+    ws = init_store(lrc.manifest(), seed=8)
+    x = np.random.default_rng(9).standard_normal((1, 48, 160, 64))
+    lrc_block(lrc, ws, x)  # warm any lazily allocated state
+    tracemalloc.start()
+    try:
+        lrc_block(lrc, ws, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * x.nbytes, (peak, x.nbytes)

@@ -51,12 +51,13 @@ def test_config_validation():
     with pytest.raises(InvalidParameterError):
         ModelConfig(channels=3)
     # a field of the wrong type or a multiplier below 1 is named with its value
-    for kwargs, match in [(dict(channels=4.0), r"channels must be an int, got 4\.0"),
-                          (dict(hop=16.0), r"hop must be an int, got 16\.0"),
-                          (dict(n_blocks=1.0), r"n_blocks must be an int, got 1\.0"),
-                          (dict(n_blocks=True), r"n_blocks must be an int, got True"),
-                          (dict(fft_len=64.5), r"fft_len must be an int, got 64\.5"),
-                          (dict(block_channel_mult=0), r"block_channel_mult must be >= 1, got 0")]:
+    for kwargs, match in [(dict(channels=4.0), r"channels must be an int >= 2, got 4\.0"),
+                          (dict(hop=16.0), r"hop must be an int >= 1, got 16\.0"),
+                          (dict(n_blocks=1.0), r"n_blocks must be an int >= 1, got 1\.0"),
+                          (dict(n_blocks=True), r"n_blocks must be an int >= 1, got True"),
+                          (dict(fft_len=64.5), r"fft_len must be an int >= 1, got 64\.5"),
+                          (dict(block_channel_mult=0),
+                           r"block_channel_mult must be an int >= 1, got 0")]:
         with pytest.raises(InvalidParameterError, match=match):
             ModelConfig(**kwargs)
     # STFT settings no forward can run: window longer than the FFT, hop
@@ -376,7 +377,7 @@ def test_forward_macs_are_linear_in_duration(monkeypatch):
 
 
 def test_negative_duration_names_the_parameter():
-    for estimate in (estimate_macs, estimate_flops, lambda cfg, d: table2_trend([cfg], d)):
+    for estimate in (estimate_macs, estimate_flops, lambda cfg, d: table2_trend(d)):
         with pytest.raises(InvalidParameterError, match=r"duration_s .*-1"):
             estimate(MICRO, -1.0)
 

@@ -165,3 +165,21 @@ def test_evaluate_losses_zero_at_identity():
     assert rep.l_ri == rep.l_mag == rep.l_pha == 0.0
     assert rep.l_con <= 1e-10 and rep.l_g == 0.0
     assert rep.total <= 1e-10
+
+
+def test_evaluate_losses_takes_the_polar_planes_of_decompose():
+    """The report matches the same terms built from np.hypot / np.arctan2
+    (decompose only folds a phase of -pi to pi, which anti_wrap ignores)."""
+    import lort
+    from lort.verify import make_toy_task, micro_config
+    cfg = micro_config()
+    noisy, clean = make_toy_task(cfg, seed=7)
+    ref = stft(clean, cfg.fft_len, cfg.win_len, cfg.hop)
+    disc = init_discriminator(WeightStore(), seed=7)
+    est = lort.forward(noisy, lort.init_weights(cfg, seed=7), cfg).spec
+    got = evaluate_losses(est, ref, disc=disc)
+    est_m, ref_m = np.hypot(est.re, est.im), np.hypot(ref.re, ref.im)
+    l_ip, l_gd, l_iaf, _ = loss_phase(np.arctan2(est.im, est.re), np.arctan2(ref.im, ref.re))
+    want = total_loss(loss_ri(est, ref), loss_mag(est_m, ref_m), l_ip, l_gd, l_iaf,
+                      loss_consistency(est), loss_g(ref_m, est_m, disc))
+    assert abs(got.total - want.total) <= 1e-12 * abs(want.total), (got, want)

@@ -202,9 +202,9 @@ def test_stft_parameter_validation():
     with pytest.raises(InvalidInputError, match="1-D"):
         stft(np.zeros((2, 1000)), 64, 64, 16)
     # each transform size is an int, named when it is not
-    for args, match in [((64, 64, 16.5), r"hop must be an int, got 16\.5"),
-                        ((64.0, 64, 16), r"fft_len must be an int, got 64\.0"),
-                        ((64, 32.0, 16), r"win_len must be an int, got 32\.0")]:
+    for args, match in [((64, 64, 16.5), r"hop must be an int >= 1, got 16\.5"),
+                        ((64.0, 64, 16), r"fft_len must be an int >= 1, got 64\.0"),
+                        ((64, 32.0, 16), r"win_len must be an int >= 1, got 32\.0")]:
         with pytest.raises(InvalidInputError, match=match):
             stft(wf, *args)
     # invertible answers only for a window and hop of at least one sample
@@ -259,9 +259,9 @@ def test_complex_spec_shape_validation():
 
 
 @pytest.mark.parametrize("fft_len, win_len, hop, match", [
-    (14, 20, 7, "win_len 20 exceeds fft_len 14"),
-    (14, 14, 0, "hop must be positive, got 0"),
-    (14, 14, -3, "hop must be positive, got -3"),
+    (14, 20, 7, "hop=7, win_len=20, fft_len=14"),
+    (14, 14, 0, "hop must be an int >= 1, got 0"),
+    (14, 14, -3, "hop must be an int >= 1, got -3"),
 ])
 def test_complex_spec_rejects_a_transform_istft_cannot_run(fft_len, win_len, hop, match):
     with pytest.raises(InvalidInputError, match=match):
