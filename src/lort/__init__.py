@@ -45,7 +45,6 @@ from .model import (
 from .objectives import (
     LossReport,
     LossWeights,
-    SegmentalSnrOracle,
     anti_wrap,
     evaluate_losses,
     loss_consistency,

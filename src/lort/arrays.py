@@ -48,11 +48,6 @@ class FlopMeter:
     def __exit__(self, *exc) -> None:
         _active_meters.remove(self)
 
-    @property
-    def flops(self) -> int:
-        """FLOPs under the 2-ops-per-MAC convention."""
-        return 2 * self.macs
-
 
 def add_macs(n: int) -> None:
     for m in _active_meters:
@@ -332,8 +327,10 @@ def normalize(x: np.ndarray, kind: str, gain, shift, eps: float = 1e-5,
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)), each step in place on one fresh array, which is returned."""
     z = np.empty(np.shape(x), dtype=np.result_type(x, 1.0))
-    # clip keeps exp finite; saturation is exact at double precision anyway
-    np.clip(x, -709.0, 709.0, out=z)
+    # clip at the dtype's exp bound (709 in float64, 88 in float32) keeps exp
+    # finite; past it sigmoid rounds to 1, or stays below the smallest normal
+    bound = float(np.floor(np.log(np.finfo(z.dtype).max)))
+    np.clip(x, -bound, bound, out=z)
     np.negative(z, out=z)
     np.exp(z, out=z)
     z += 1.0

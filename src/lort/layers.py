@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .arrays import ConvSpec, conv2d, normalize, prelu, same_pad
-from .errors import InvalidParameterError, ShapeError
+from .errors import InvalidParameterError, ShapeError, check_int
 from .weights import WeightStore
 
 __all__ = ["Layer", "Param", "Conv", "Norm", "PRelu", "DenseStack", "init_store", "zero_store"]
@@ -177,6 +177,7 @@ def _tail(ws, subs, z, out=None):
 def init_store(manifest, seed=0, store=None) -> WeightStore:
     """Fill `store` (a new one if None) from a manifest, drawing the "gauss"
     tensors in manifest order from one generator seeded with `seed`."""
+    check_int("seed", seed, 0, InvalidParameterError)
     rng = np.random.default_rng(seed)
     store = WeightStore() if store is None else store
     for name, shape, kind in manifest:

@@ -360,7 +360,9 @@ class Discriminator(Layer):
         return self.head(ws, x.mean(axis=(2, 3), keepdims=True))[:, 0, 0, 0]
 
 
-_CRITIC_NAMES = frozenset(name for name, _, _ in Discriminator().manifest())
+# the one critic tree, built at import, as build_model builds each model once
+CRITIC = Discriminator()
+_CRITIC_NAMES = frozenset(name for name, _, _ in CRITIC.manifest())
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +381,7 @@ def init_weights(cfg: ModelConfig, seed: int = 0) -> WeightStore:
 
 def init_discriminator(store: WeightStore, seed: int = 0) -> WeightStore:
     """Add freshly initialized critic weights to `store`."""
-    return init_store(Discriminator().manifest(), seed, store)
+    return init_store(CRITIC.manifest(), seed, store)
 
 
 def zero_weights(cfg: ModelConfig) -> WeightStore:

@@ -1,7 +1,8 @@
 """Composite training objective: complex and magnitude distances, the
-anti-wrapping phase terms, STFT-consistency, and the metric-adversarial
-pair, combined by a weighted sum. Analytic gradients accompany every
-non-adversarial term so the numeric verifier can cross-check them.
+anti-wrapping phase terms, STFT-consistency, and the generator side of a
+metric critic, combined by a weighted sum. The critic is never trained: it
+scores with whatever weights it is handed. Analytic gradients accompany
+every non-adversarial term so the numeric verifier can cross-check them.
 """
 from __future__ import annotations
 
@@ -11,13 +12,12 @@ import numpy as np
 
 from .arrays import sigmoid
 from .errors import InvalidParameterError, ShapeError
-from .model import Discriminator, ModelConfig
-from .signal import ComplexSpec, Waveform, decompose, istft, stft
+from .model import CRITIC, ModelConfig
+from .signal import ComplexSpec, decompose, istft, stft
 
 __all__ = [
     "LossWeights",
     "LossReport",
-    "SegmentalSnrOracle",
     "loss_ri",
     "grad_ri",
     "loss_mag",
@@ -30,7 +30,6 @@ __all__ = [
     "consistency_project",
     "discriminate",
     "loss_g",
-    "loss_d",
     "total_loss",
     "evaluate_losses",
 ]
@@ -190,37 +189,7 @@ def grad_consistency(est: ComplexSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Quality oracle and metric-adversarial pair
-
-class SegmentalSnrOracle:
-    """Perceptual-quality proxy from mean segmental SNR over 32 ms frames.
-
-    Per-frame SNR in dB is clamped to [-10, 35]; the mean maps affinely to
-    [0, 1] via q = clip((ssnr + 10) / 30, 0, 1), so an exact match (SNR
-    saturating at the ceiling) scores exactly 1.
-    """
-
-    frame_s = 0.032
-    floor_db = -10.0
-    ceil_db = 35.0
-
-    def __call__(self, reference: Waveform, estimate: Waveform) -> float:
-        ref, est = reference.samples, estimate.samples
-        _check_planes(ref, est)
-        n = max(1, int(round(self.frame_s * reference.sample_rate)))
-        m = max(1, len(ref) // n)
-        snrs = np.empty(m)
-        for i in range(m):
-            r = ref[i * n : (i + 1) * n]
-            e = est[i * n : (i + 1) * n]
-            err = np.sum((r - e) ** 2)
-            if err == 0.0:
-                snrs[i] = self.ceil_db
-            else:
-                snrs[i] = 10.0 * np.log10(max(np.sum(r**2), 1e-300) / err)
-        ssnr = float(np.clip(snrs, self.floor_db, self.ceil_db).mean())
-        return float(np.clip((ssnr - self.floor_db) / 30.0, 0.0, 1.0))
-
+# Metric-adversarial term
 
 def discriminate(ref_m: np.ndarray, est_m: np.ndarray, ws) -> float:
     """Score the (reference, estimate) magnitude pair with the conv critic."""
@@ -228,18 +197,11 @@ def discriminate(ref_m: np.ndarray, est_m: np.ndarray, ws) -> float:
     if np.any(ref_m < 0) or np.any(est_m < 0):
         raise InvalidParameterError("discriminator inputs are magnitudes; must be >= 0")
     x = np.stack([ref_m, est_m])[None]
-    return float(sigmoid(Discriminator()(ws, x)[0]))
+    return float(sigmoid(CRITIC(ws, x)[0]))
 
 
 def loss_g(ref_m: np.ndarray, est_m: np.ndarray, ws) -> float:
     return (discriminate(ref_m, est_m, ws) - 1.0) ** 2
-
-
-def loss_d(ref_m: np.ndarray, est_m: np.ndarray, q: float, ws) -> float:
-    if not (0.0 <= q <= 1.0):
-        raise InvalidParameterError(f"quality score must lie in [0, 1], got {q}")
-    return ((discriminate(ref_m, ref_m, ws) - 1.0) ** 2
-            + (discriminate(ref_m, est_m, ws) - q) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +217,12 @@ def total_loss(l_ri: float, l_mag: float, l_ip: float, l_gd: float, l_iaf: float
                       l_pha=l_pha, l_con=l_con, l_g=l_g, total=total)
 
 
-def evaluate_losses(est: ComplexSpec, ref: ComplexSpec, w: LossWeights | None = None,
-                    disc=None) -> LossReport:
-    """Full report for an (estimate, reference) spectrogram pair.
-
-    The adversarial term is included only when discriminator weights are
-    supplied.
-    """
+def evaluate_losses(est: ComplexSpec, ref: ComplexSpec, w: LossWeights | None = None, *,
+                    disc) -> LossReport:
+    """Full report for an (estimate, reference) spectrogram pair, the
+    adversarial term scored by the critic weights `disc`."""
     est_m, est_p = decompose(est)
     ref_m, ref_p = decompose(ref)
     l_ip, l_gd, l_iaf, _ = loss_phase(est_p, ref_p)
-    lg = loss_g(ref_m, est_m, disc) if disc is not None else 0.0
     return total_loss(loss_ri(est, ref), loss_mag(est_m, ref_m), l_ip, l_gd, l_iaf,
-                      loss_consistency(est), lg, w)
+                      loss_consistency(est), loss_g(ref_m, est_m, disc), w)

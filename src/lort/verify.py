@@ -107,6 +107,7 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
 
 def gradcheck_losses(seed: int = 0, instances: int = 20) -> GradCheckResult:
     """Analytic-vs-numeric comparison for every differentiable loss term."""
+    check_int("seed", seed, 0, InvalidParameterError)
     check_int("instances", instances, 1, InvalidParameterError)
     rng = np.random.default_rng(seed)
     size = 8  # each plane is 8 frames by 8 one-sided bins
@@ -183,6 +184,7 @@ def taylor_error_sweep(scales=(1e-1, 1e-2, 1e-3), trials: int = 20,
     monotone in the scale.
     """
     check_int("trials", trials, 1, InvalidParameterError)
+    check_int("seed", seed, 0, InvalidParameterError)
     scales = tuple(float(s) for s in scales)
     if (len(scales) < 2 or not all(0 < s < math.inf for s in scales)
             or any(b >= a for a, b in zip(scales, scales[1:]))):
@@ -227,6 +229,7 @@ class SpsaConfig:
 
     def __post_init__(self) -> None:
         check_int("iterations", self.iterations, 1, InvalidParameterError)
+        check_int("seed", self.seed, 0, InvalidParameterError)
         if not 0 < self.c < math.inf:
             raise InvalidParameterError(f"c must be finite and > 0, got {self.c}")
         if not 0 <= self.a < math.inf:
@@ -251,6 +254,7 @@ def micro_config() -> ModelConfig:
 def make_toy_task(cfg: ModelConfig, seed: int = 0,
                   duration_s: float = 0.25) -> tuple[Waveform, Waveform]:
     """Synthetic denoising pair: harmonic tone mixture + white noise at 0 dB."""
+    check_int("seed", seed, 0, InvalidParameterError)
     n = int(round(duration_s * cfg.sample_rate)) if 0 < duration_s < math.inf else 0
     if n < 1:
         raise InvalidParameterError(

@@ -188,6 +188,13 @@ def test_init_weights_rejects_a_config_no_forward_can_run(tmp_path, capsys):
     assert not weights.exists()
 
 
+def test_init_weights_rejects_a_negative_seed(tmp_path, capsys):
+    weights = tmp_path / "w.bin"
+    assert run(["init-weights", "--out", str(weights), "--seed", "-1"] + MICRO_ARGS) == 2
+    assert "seed must be an int >= 0, got -1" in capsys.readouterr().err
+    assert not weights.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["enhance", "--in", "a.wav", "--weights", "w.bin", "--out", "b.wav"],
     ["losses", "--ref", "a.wav", "--est", "b.wav"],

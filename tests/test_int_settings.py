@@ -2,8 +2,9 @@
 above its floor passes; a bool, a float, a numpy int or a value below the
 floor raises the module's typed error naming the field. The cases include
 `stft` with a bool size (which once returned a spectrogram), `istft(spec,
-True)` (once numpy's bare TypeError) and a float `count_ops` size (once
-counted)."""
+True)` (once numpy's bare TypeError), a float `count_ops` size (once
+counted) and a seed of -1 (once numpy's bare ValueError, or for `SpsaConfig`
+a config that failed only inside `spsa_train`)."""
 import re
 
 import numpy as np
@@ -12,9 +13,11 @@ import pytest
 from lort.arrays import ConvSpec
 from lort.attention import count_ops
 from lort.errors import InvalidInputError, InvalidParameterError, InvalidSpecError, ShapeError
-from lort.model import ModelConfig
+from lort.model import ModelConfig, init_discriminator, init_weights
 from lort.signal import ComplexSpec, Waveform, invertible, istft, stft
-from lort.verify import SpsaConfig, gradcheck_losses, taylor_error_sweep
+from lort.verify import (SpsaConfig, gradcheck_losses, make_toy_task, micro_config,
+                         taylor_error_sweep)
+from lort.weights import WeightStore
 
 WAVE = Waveform(np.ones(200))
 SPEC = stft(WAVE, 64, 64, 16)
@@ -51,6 +54,17 @@ SITES = {
                                    InvalidParameterError),
     "taylor_error_sweep.trials": (lambda v: taylor_error_sweep(trials=v), "trials", 1,
                                   InvalidParameterError),
+    "init_weights.seed": (lambda v: init_weights(micro_config(), seed=v), "seed", 0,
+                          InvalidParameterError),
+    "init_discriminator.seed": (lambda v: init_discriminator(WeightStore(), seed=v), "seed", 0,
+                                InvalidParameterError),
+    "make_toy_task.seed": (lambda v: make_toy_task(micro_config(), seed=v), "seed", 0,
+                           InvalidParameterError),
+    "SpsaConfig.seed": (lambda v: SpsaConfig(seed=v), "seed", 0, InvalidParameterError),
+    "gradcheck_losses.seed": (lambda v: gradcheck_losses(seed=v), "seed", 0,
+                              InvalidParameterError),
+    "taylor_error_sweep.seed": (lambda v: taylor_error_sweep(seed=v), "seed", 0,
+                                InvalidParameterError),
     "count_ops.t": (lambda v: count_ops(v, 2, 3), "t", 1, ShapeError),
     "count_ops.f": (lambda v: count_ops(2, v, 3), "f", 1, ShapeError),
     "count_ops.d": (lambda v: count_ops(2, 3, v), "d", 1, ShapeError),

@@ -7,7 +7,6 @@ from lort.model import init_discriminator
 from lort.objectives import (
     LossReport,
     LossWeights,
-    SegmentalSnrOracle,
     anti_wrap,
     consistency_project,
     discriminate,
@@ -16,14 +15,13 @@ from lort.objectives import (
     grad_phase,
     grad_ri,
     loss_consistency,
-    loss_d,
     loss_g,
     loss_mag,
     loss_phase,
     loss_ri,
     total_loss,
 )
-from lort.signal import ComplexSpec, Waveform, stft
+from lort.signal import ComplexSpec, Waveform, decompose, stft
 from lort.weights import WeightStore
 
 
@@ -110,17 +108,6 @@ def test_consistency_fixed_point_and_idempotence():
     assert loss_consistency(consistency_project(bad)) <= 1e-10
 
 
-def test_quality_oracle():
-    oracle = SegmentalSnrOracle()
-    wf = Waveform(np.random.default_rng(5).standard_normal(16000))
-    assert oracle(wf, wf) == 1.0
-    noisy = Waveform(wf.samples + np.random.default_rng(6).standard_normal(16000))
-    q = oracle(wf, noisy)
-    assert 0.0 <= q < 1.0
-    silence = Waveform(np.zeros(16000))
-    assert 0.0 <= oracle(wf, silence) <= 1.0
-
-
 def test_discriminator_score_and_losses():
     ws = init_discriminator(WeightStore(), seed=0)
     rng = np.random.default_rng(7)
@@ -129,10 +116,6 @@ def test_discriminator_score_and_losses():
     s = discriminate(ref, est, ws)
     assert 0.0 < s < 1.0
     assert loss_g(ref, est, ws) == (discriminate(ref, est, ws) - 1.0) ** 2
-    d_same = discriminate(ref, ref, ws)
-    npt.assert_allclose(loss_d(ref, ref, 1.0, ws), 2 * (d_same - 1.0) ** 2, atol=1e-12)
-    with pytest.raises(InvalidParameterError):
-        loss_d(ref, est, 1.5, ws)
     with pytest.raises(InvalidParameterError):
         discriminate(-ref, est, ws)
 
@@ -161,10 +144,19 @@ def test_report_line_format():
 
 def test_evaluate_losses_zero_at_identity():
     spec = stft(Waveform(np.random.default_rng(9).standard_normal(3200)), 64, 64, 16)
-    rep = evaluate_losses(spec, spec)
+    disc = init_discriminator(WeightStore(), seed=0)
+    rep = evaluate_losses(spec, spec, disc=disc)
+    # every term but the critic's is zero at identity
     assert rep.l_ri == rep.l_mag == rep.l_pha == 0.0
-    assert rep.l_con <= 1e-10 and rep.l_g == 0.0
-    assert rep.total <= 1e-10
+    assert rep.l_con <= 1e-10
+    mag = decompose(spec)[0]
+    assert rep.l_g == loss_g(mag, mag, disc)
+    assert abs(rep.total - LossWeights().a5 * rep.l_g) <= 1e-10
+    # every call scores the critic, named by keyword
+    with pytest.raises(TypeError):
+        evaluate_losses(spec, spec)
+    with pytest.raises(TypeError):
+        evaluate_losses(spec, spec, None, disc)
 
 
 def test_evaluate_losses_takes_the_polar_planes_of_decompose():
