@@ -1,7 +1,8 @@
 """Dense-array numeric kernel: convolutions, normalization, activations.
 
 Everything operates on plain numpy arrays (rank <= 4, row-major). All
-functions are pure; verification paths run in float64.
+functions are pure and return their operands' promoted dtype: float64 is
+set only at the boundary, by `Waveform`, `ComplexSpec` and `WeightStore`.
 """
 from __future__ import annotations
 

@@ -31,9 +31,7 @@ class AttentionInput:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        self.q = np.asarray(self.q, dtype=np.float64)
-        self.k = np.asarray(self.k, dtype=np.float64)
-        self.v = np.asarray(self.v, dtype=np.float64)
+        self.q, self.k, self.v = (np.asarray(a) for a in (self.q, self.k, self.v))
         if not (self.q.shape == self.k.shape == self.v.shape) or self.q.ndim != 3:
             raise ShapeError(
                 f"q/k/v must share an (H, N, Dh) shape: {self.q.shape}, {self.k.shape}, {self.v.shape}"

@@ -7,7 +7,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import LortError
+from .errors import InvalidParameterError, LortError
 from .model import ModelConfig, forward, init_discriminator, init_weights
 from .objectives import evaluate_losses
 from .signal import read_wav, stft, write_wav
@@ -93,30 +93,34 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
+def _print_csv(header: str, rows) -> None:
+    print(header)
+    for row in rows:
+        print(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row))
+
+
 def _cmd_sweep(args) -> int:
-    scales = tuple(float(s) for s in args.scales.split(","))
+    scales = []
+    for item in args.scales.split(","):
+        try:
+            scales.append(float(item))
+        except ValueError:
+            raise InvalidParameterError(f"scales must be numbers, got item {item!r}") from None
     r = taylor_error_sweep(scales, trials=args.trials, seed=args.seed)
-    print("scale,max_err")
-    for s, e in r.points:
-        print(f"{s:.6g},{e:.6g}")
-    print(f"slope,{r.slope:.6g}")
+    _print_csv("scale,max_err", [*r.points, ("slope", r.slope)])
     return 0
 
 
 def _cmd_train_toy(args) -> int:
     spsa = SpsaConfig(iterations=args.iterations, a=args.step, c=args.perturb, seed=args.seed)
     r = spsa_train(spsa=spsa)
-    print("iteration,total")
-    for i, v in enumerate(r.trajectory):
-        print(f"{i},{v:.6g}")
-    print(f"ratio,{r.ratio:.6g}")
+    _print_csv("iteration,total", [*enumerate(r.trajectory), ("ratio", r.ratio)])
     return 0
 
 
 def _cmd_trend(args) -> int:
-    print("n_blocks,channels,params,flops")
-    for row in table2_trend(duration_s=args.duration):
-        print(f"{row['n_blocks']},{row['channels']},{row['params']},{row['flops']}")
+    _print_csv("n_blocks,channels,params,flops",
+               [row.values() for row in table2_trend(duration_s=args.duration)])
     return 0
 
 
@@ -158,7 +162,7 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.cmd](args)
-    except (LortError, OSError, ValueError) as e:
+    except (LortError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

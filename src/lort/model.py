@@ -166,9 +166,9 @@ class Dsdcn(Layer):
         # row i*T*F + t*F + f
         plane = x.transpose(0, 2, 3, 1).reshape(b * t * f, c)
         items = np.arange(b)[:, None, None] * (t * f)
-        gt = np.arange(t, dtype=np.float64)[:, None]
-        gf = np.arange(f, dtype=np.float64)
-        acc = np.zeros((b * t * f, c))
+        gt = np.arange(t, dtype=off.dtype)[:, None]
+        gf = np.arange(f, dtype=off.dtype)
+        acc = np.zeros((b * t * f, c), dtype=np.result_type(x, w))
         # every tap and corner reuses these two buffers (fresh temporaries
         # raised the peak RSS of repeated 8 s forwards by ~5%); `row` is in
         # range, so "clip" only spares `take` its buffered bounds check
@@ -397,12 +397,9 @@ def estimate_macs(cfg: ModelConfig, duration_s: float) -> int:
     """Measured multiply-accumulate count of one forward pass."""
     if not 0 <= duration_s < math.inf:
         raise InvalidParameterError(f"duration_s must be finite and >= 0, got {duration_s}")
-    n = int(round(duration_s * cfg.sample_rate))
-    model = build_model(cfg)
-    ws = init_weights(cfg, seed=0)
-    wave = Waveform(np.zeros(n), cfg.sample_rate)
+    wave = Waveform(np.zeros(int(round(duration_s * cfg.sample_rate))), cfg.sample_rate)
     with FlopMeter() as meter:
-        model.forward(wave, ws)
+        forward(wave, init_weights(cfg, seed=0), cfg)
     return meter.macs
 
 

@@ -49,6 +49,24 @@ def test_sweep_rejects_a_single_scale(capsys):
     assert "scales must be two or more finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scales, item", [("abc", "'abc'"), ("1e-1,,1e-2", "''")])
+def test_sweep_names_the_scale_it_cannot_read(scales, item, capsys):
+    assert run(["sweep", "--scales", scales]) == 2
+    captured = capsys.readouterr()
+    assert f"scales must be numbers, got item {item}" in captured.err
+    assert captured.out == ""
+
+
+def test_an_untyped_error_is_not_reported_as_a_cli_error(monkeypatch):
+    # only LortError and OSError are expected failures; a bug's ValueError surfaces
+    def broken(args):
+        raise ValueError("a bug")
+
+    monkeypatch.setitem(lort.cli._COMMANDS, "gradcheck", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        run(["gradcheck"])
+
+
 def test_train_toy_rejects_a_nan_step(capsys):
     assert run(["train-toy", "--iterations", "2", "--step", "nan"]) == 2
     assert "a must be finite" in capsys.readouterr().err
@@ -205,8 +223,12 @@ def test_model_flags_default_to_the_model_config(argv):
 
 
 def test_trend_rejects_a_negative_duration(capsys):
-    assert run(["trend", "--duration", "-1"]) == 2
-    assert "duration_s" in capsys.readouterr().err
+    # the rows are computed before the header prints, so a rejected run writes nothing
+    for duration in ("-1", "nan", "inf"):
+        assert run(["trend", "--duration", duration]) == 2
+        captured = capsys.readouterr()
+        assert "duration_s" in captured.err, duration
+        assert captured.out == "", duration
 
 
 def test_unknown_flag_exits_nonzero():

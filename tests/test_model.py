@@ -469,3 +469,101 @@ def test_discriminate_reads_exactly_the_critic_manifest():
     m = np.abs(np.random.default_rng(14).standard_normal((20, 33)))
     discriminate(m, 0.5 * m, ws)
     assert ws.read == {name for name, _, _ in Discriminator().manifest()}
+
+
+# ---------------------------------------------------------------------------
+# The dtype contract: float64 is set where data enters (Waveform, ComplexSpec,
+# WeightStore); every stage computes in the dtype its operands promote to.
+
+# Higham's bound on an n-term float32 sum of products, n * 2**-24, is 5.4e-5
+# for the longest sum here (48 channels x 19 taps of an axial conv)
+F32_RTOL = 1e-4
+TWO_BLOCKS_C8 = ModelConfig(n_blocks=2, channels=8, fft_len=64, win_len=64, hop=16)
+
+
+def perturbed_weights(cfg, seed):
+    """Initialized weights with every tensor perturbed, offsets, biases and
+    MSAR convs included, so no stage runs on exact zeros or ones."""
+    ws = init_weights(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for name in list(ws):
+        ws[name] = ws[name] + 0.05 * rng.standard_normal(ws[name].shape)
+    return ws
+
+
+def as_float32(ws):
+    return {name: arr.astype(np.float32) for name, arr in ws.items()}
+
+
+def assert_float32_close(got, want):
+    assert got.dtype == np.float32
+    err = np.abs(got - want).max() / np.abs(want).max()
+    assert err <= F32_RTOL, err
+
+
+def float32_case(cfg, n, seed):
+    ws = perturbed_weights(cfg, seed)
+    wave = noise(n, seed=seed)
+    spec = stft(wave, cfg.fft_len, cfg.win_len, cfg.hop)
+    return ws, as_float32(ws), wave, spec, np.stack(decompose(spec))[None]
+
+
+@pytest.mark.parametrize("cfg", [micro_config(), TWO_BLOCKS_C8], ids=["micro", "two_blocks_c8"])
+def test_float32_weights_and_input_stay_float32_through_every_stage(cfg):
+    model = build_model(cfg)
+    ws, ws32, wave, spec, feat = float32_case(cfg, 4000, seed=19)
+    t, f = spec.re.shape
+    x = feat
+    for stage in [model.encoder, model.embed, model.down, *model.blocks]:
+        want = stage(ws, x)
+        assert_float32_close(stage(ws32, x.astype(np.float32)), want)
+        x = want
+    h = model.trunk(ws, feat)
+    h32 = model.trunk(ws32, feat.astype(np.float32))
+    assert_float32_close(h32, h)
+    assert_float32_close(model.mag_dec.mask(ws32, h.astype(np.float32), t, f),
+                         model.mag_dec.mask(ws, h, t, f))
+    # the float32 heads, resynthesized through the float64 boundary
+    mask = model.mag_dec.mask(ws32, h32, t, f)[0]
+    phase = model.phase_dec.phase(ws32, h32, t, f)[0]
+    assert mask.dtype == phase.dtype == np.float32
+    mag = decompose(spec)[0]
+    out = istft(recompose(spec, mask * mag, phase), len(wave))
+    assert snr_db(forward(wave, ws, cfg).wave.samples, out.samples) >= 60.0
+
+
+def test_float32_reference_trunk_matches_float64():
+    cfg = ModelConfig()
+    ws, ws32, _, _, feat = float32_case(cfg, 8000, seed=20)
+    model = build_model(cfg)
+    assert_float32_close(model.trunk(ws32, feat.astype(np.float32)), model.trunk(ws, feat))
+
+
+def test_dsdcn_on_a_float32_map_matches_the_bilinear_oracle():
+    c = 3
+    layer = Dsdcn("embed", c)
+    ws = init_store(layer.manifest(), seed=21)
+    rng = np.random.default_rng(22)
+    ws["embed.offset.w"] = 0.5 * rng.standard_normal(ws["embed.offset.w"].shape)
+    ws["embed.offset.b"] = rng.uniform(-2.5, 2.5, ws["embed.offset.b"].shape)
+    x = rng.standard_normal((2, c, 6, 5))
+    want, _ = bilinear_dsdcn_oracle(ws, x, layer.offset(ws, x))
+    assert_float32_close(layer(as_float32(ws), x.astype(np.float32)), want)
+
+
+STAGE_MODULES = ("arrays", "layers", "attention", "local_refine", "model")
+FLOAT_TYPES = {"float16", "float32", "float64", "half", "single", "double", "longdouble"}
+
+
+def test_no_stage_module_names_a_float_dtype():
+    # an int64 index cast stays allowed; a float dtype is set at the boundary only
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "lort"
+    named = []
+    for module in STAGE_MODULES:
+        for node in ast.walk(ast.parse((src / f"{module}.py").read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in FLOAT_TYPES
+                    or isinstance(node, ast.Name) and node.id in FLOAT_TYPES
+                    or isinstance(node, ast.keyword) and node.arg == "dtype"
+                    and isinstance(node.value, ast.Constant)):
+                named.append(f"{module}.py:{node.lineno}")
+    assert not named, f"float dtype named at {named}"
