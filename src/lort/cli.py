@@ -141,7 +141,6 @@ def _cmd_losses(args) -> int:
 def _cmd_init_weights(args) -> int:
     cfg = _cfg_from(args)
     ws = init_weights(cfg, seed=args.seed)
-    init_discriminator(ws, seed=args.seed)
     ws.save(args.out)
     print(f"wrote {args.out}: {len(ws)} tensors, {ws.n_params} parameters")
     return 0

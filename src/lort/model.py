@@ -85,10 +85,6 @@ class ModelConfig:
         return self.fft_len // 2 + 1
 
     @property
-    def enc_bins(self) -> int:
-        return math.ceil(self.freq_bins / 2)
-
-    @property
     def block_channels(self) -> int:
         return self.channels * self.block_channel_mult
 
@@ -301,7 +297,7 @@ class LortModel(Layer):
     # -- forward ------------------------------------------------------------
 
     def trunk(self, ws, feat: np.ndarray) -> np.ndarray:
-        """Encoder through transformer stack back to (B, C, T, enc_bins)."""
+        """Encoder through transformer stack back to (B, C, T, ceil(F / 2))."""
         skip = self.embed(ws, self.encoder(ws, feat))
         h = self.down(ws, skip)
         for block in self.blocks:
@@ -315,8 +311,7 @@ class LortModel(Layer):
         missing = ws.missing(shapes)
         if missing:
             raise WeightLookupError(f"weight store incomplete; missing {_first8(missing)}")
-        # a store may also hold the critic, as `lort init-weights` writes it
-        unknown = [name for name in ws if name not in shapes and name not in _CRITIC_NAMES]
+        unknown = [name for name in ws if name not in shapes]
         if unknown:
             raise WeightLookupError(f"weight store holds tensors no layer of this config "
                                     f"declares: {_first8(unknown)}")
@@ -362,7 +357,6 @@ class Discriminator(Layer):
 
 # the one critic tree, built at import, as build_model builds each model once
 CRITIC = Discriminator()
-_CRITIC_NAMES = frozenset(name for name, _, _ in CRITIC.manifest())
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +389,12 @@ def count_params(cfg: ModelConfig) -> int:
 
 def estimate_macs(cfg: ModelConfig, duration_s: float) -> int:
     """Measured multiply-accumulate count of one forward pass."""
-    if not 0 <= duration_s < math.inf:
-        raise InvalidParameterError(f"duration_s must be finite and >= 0, got {duration_s}")
-    wave = Waveform(np.zeros(int(round(duration_s * cfg.sample_rate))), cfg.sample_rate)
+    n = int(round(duration_s * cfg.sample_rate)) if 0 <= duration_s < math.inf else 0
+    if n <= cfg.win_len // 2:  # stft's reflect padding needs more samples than it pads
+        raise InvalidParameterError(
+            f"duration_s must be finite and hold more than win_len // 2 = {cfg.win_len // 2} "
+            f"samples, got {duration_s}")
+    wave = Waveform(np.zeros(n), cfg.sample_rate)
     with FlopMeter() as meter:
         forward(wave, init_weights(cfg, seed=0), cfg)
     return meter.macs

@@ -6,7 +6,7 @@ every non-adversarial term so the numeric verifier can cross-check them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -67,8 +67,7 @@ class LossReport:
 
     def to_line(self) -> str:
         """Flat key=value text line, 6 significant digits."""
-        fields = ("l_ri", "l_mag", "l_ip", "l_gd", "l_iaf", "l_pha", "l_con", "l_g", "total")
-        return " ".join(f"{k}={getattr(self, k):.6g}" for k in fields)
+        return " ".join(f"{f.name}={getattr(self, f.name):.6g}" for f in fields(self))
 
 
 # ---------------------------------------------------------------------------

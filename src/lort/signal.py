@@ -94,15 +94,16 @@ def read_wav(data: bytes) -> Waveform:
     if data[8:12] != b"WAVE":
         raise WavParseError(f"RIFF form type is {data[8:12]!r}, expected b'WAVE'")
     pos = 12
-    fmt = None
+    rate = None  # set by the fmt chunk
     pcm = None
-    rate = None
     while pos + 8 <= len(data):
         cid = data[pos : pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
         body = data[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise WavParseError(f"chunk {cid!r} truncated: declared {size}, got {len(body)} bytes")
+        if (cid == b"fmt " and rate is not None) or (cid == b"data" and pcm is not None):
+            raise WavParseError(f"repeated chunk {cid!r} at byte {pos}")
         if cid == b"fmt ":
             if size < 16:
                 raise WavParseError(f"fmt chunk too short ({size} bytes)")
@@ -113,19 +114,18 @@ def read_wav(data: bytes) -> Waveform:
                 raise WavParseError(f"unsupported channel count: nChannels={channels}, mono required")
             if bits != 16:
                 raise WavParseError(f"unsupported sample width: wBitsPerSample={bits}, 16 required")
-            fmt = True
         elif cid == b"data":
-            if fmt is None:
+            if rate is None:
                 raise WavParseError("data chunk precedes fmt chunk")
             if size % 2:
                 raise WavParseError(f"data chunk size {size} is not a multiple of the sample width")
             pcm = np.frombuffer(body, dtype="<i2")
         pos += 8 + size + (size & 1)
-    if fmt is None:
+    if rate is None:
         raise WavParseError("missing fmt chunk")
     if pcm is None:
         raise WavParseError("missing data chunk")
-    return Waveform(pcm.astype(np.float64) / 32768.0, int(rate))
+    return Waveform(pcm.astype(np.float64) / 32768.0, rate)
 
 
 _U32 = 2**32 - 1

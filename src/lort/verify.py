@@ -239,10 +239,7 @@ class SpsaConfig:
 @dataclass
 class SpsaResult:
     trajectory: np.ndarray
-    initial_smoothed: float
-    final_smoothed: float
     ratio: float
-    weights: WeightStore
 
 
 def micro_config() -> ModelConfig:
@@ -330,10 +327,7 @@ def spsa_train(spsa: SpsaConfig | None = None) -> SpsaResult:
         theta = theta - ak * (lp - lm) / (2.0 * ck) / delta
 
     w = min(spsa.smooth_window, spsa.iterations)
-    init_s = float(traj[:w].mean())
-    final_s = float(traj[-w:].mean())
-    return SpsaResult(trajectory=traj, initial_smoothed=init_s, final_smoothed=final_s,
-                      ratio=final_s / init_s, weights=_unflatten(theta, ws0, names))
+    return SpsaResult(trajectory=traj, ratio=float(traj[-w:].mean()) / float(traj[:w].mean()))
 
 
 # ---------------------------------------------------------------------------

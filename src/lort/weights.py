@@ -11,16 +11,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import WeightFormatError, WeightLookupError
+from .errors import WeightFormatError, WeightLookupError, check_int
 
 __all__ = ["WeightStore"]
 
 _MAGIC = b"LORTW001"
 _DTYPE_TAG = "f32-le"
-
-
-def _is_index(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def _parse_entry(i: int, ent) -> tuple[str, tuple[int, ...], int]:
@@ -34,15 +30,12 @@ def _parse_entry(i: int, ent) -> tuple[str, tuple[int, ...], int]:
     if ent.get("dtype") != _DTYPE_TAG:
         raise WeightFormatError(f"{where}: unsupported dtype tag {ent.get('dtype')!r}")
     shape = ent.get("shape")
-    if not isinstance(shape, list) or not all(_is_index(n) for n in shape):
-        raise WeightFormatError(
-            f"{where}: field 'shape' must be a list of non-negative integers, got {shape!r}"
-        )
+    if not isinstance(shape, list):
+        raise WeightFormatError(f"{where}: field 'shape' must be a list, got {shape!r}")
+    for n in shape:
+        check_int(f"{where}: field 'shape' item", n, 0, WeightFormatError)
     off = ent.get("offset")
-    if not _is_index(off):
-        raise WeightFormatError(
-            f"{where}: field 'offset' must be a non-negative integer, got {off!r}"
-        )
+    check_int(f"{where}: field 'offset'", off, 0, WeightFormatError)
     return name, tuple(shape), off
 
 
@@ -125,11 +118,14 @@ class WeightStore:
             )
         blob = data[16 + hlen :]
         store = cls()
-        total = 0
+        end = 0  # entries lie back to back in manifest order, as to_bytes writes them
         for i, ent in enumerate(entries):
             name, shape, off = _parse_entry(i, ent)
             if name in store:
                 raise WeightFormatError(f"entry {i}: duplicate name {name!r}")
+            if off != end:
+                raise WeightFormatError(f"entry {i} ({name!r}): field 'offset' is {off}, but "
+                                        f"the previous entry ends at {end}")
             size = math.prod(shape)
             raw = blob[off : off + 4 * size]
             if len(raw) != 4 * size:
@@ -143,11 +139,9 @@ class WeightStore:
                 store[name] = values.reshape(shape)
             except ValueError as e:  # more axes than numpy supports
                 raise WeightFormatError(f"entry {i} ({name!r}): field 'shape': {e}") from None
-            total = max(total, off + 4 * size)
-        if total != len(blob):
-            raise WeightFormatError(
-                f"blob size {len(blob)} does not match manifest total {total}"
-            )
+            end = off + 4 * size
+        if end != len(blob):
+            raise WeightFormatError(f"blob size {len(blob)} does not match manifest total {end}")
         return store
 
     def save(self, path: str) -> None:

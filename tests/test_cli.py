@@ -93,6 +93,14 @@ def test_init_weights_then_enhance_roundtrip(tmp_path, capsys):
     assert len(enhanced) == 4000
 
 
+def test_init_weights_writes_only_the_generator(tmp_path, capsys):
+    weights = tmp_path / "w.bin"
+    assert run(["init-weights", "--out", str(weights)]) == 0  # the reference config
+    names = list(WeightStore.load(str(weights)))
+    assert names == lort.build_model(ModelConfig()).param_names() and len(names) == 349
+    assert capsys.readouterr().out.endswith(": 349 tensors, 987345 parameters\n")
+
+
 def test_losses_identity_is_zero(tmp_path, capsys):
     wav = tmp_path / "x.wav"
     write_noise(wav, seed=2)
@@ -223,8 +231,9 @@ def test_model_flags_default_to_the_model_config(argv):
 
 
 def test_trend_rejects_a_negative_duration(capsys):
-    # the rows are computed before the header prints, so a rejected run writes nothing
-    for duration in ("-1", "nan", "inf"):
+    # the rows are computed before the header prints, so a rejected run writes nothing;
+    # 0 s and 0.01 s (160 samples) hold no more samples than stft's 255-sample padding
+    for duration in ("-1", "nan", "inf", "0", "0.01"):
         assert run(["trend", "--duration", duration]) == 2
         captured = capsys.readouterr()
         assert "duration_s" in captured.err, duration

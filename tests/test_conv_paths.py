@@ -17,6 +17,7 @@ from lort.layers import init_store
 from lort.objectives import discriminate
 from lort.signal import Waveform
 from lort.verify import micro_config
+from lort.weights import WeightStore
 
 RTOL = 1e-12
 
@@ -333,10 +334,10 @@ def test_fast_paths_build_no_window_view(monkeypatch):
     conv2d(x, rng.standard_normal((4, 2, 2, 2)), None,
            ConvSpec(kernel=(2, 2), stride=(2, 2), transposed=True))
     cfg = micro_config()
-    ws = model.init_discriminator(model.init_weights(cfg))
-    res = model.forward(Waveform(0.1 * rng.standard_normal(2000)), ws, cfg)
+    disc = model.init_discriminator(WeightStore())
+    res = model.forward(Waveform(0.1 * rng.standard_normal(2000)), model.init_weights(cfg), cfg)
     mag = np.hypot(res.spec.re, res.spec.im)
-    discriminate(mag, 0.5 * mag, ws)
+    discriminate(mag, 0.5 * mag, disc)
     with pytest.raises(AssertionError, match="window view"):
         conv2d_reference(x, rng.standard_normal((3, 4, 3, 3)), None, ConvSpec(kernel=(3, 3)))
 

@@ -134,15 +134,17 @@ def test_dense_stack_rejects_other_channel_counts():
 def test_forward_leaves_caller_arrays_untouched():
     """In-place epilogues write only arrays a layer allocated itself."""
     cfg = micro_config()
-    ws = lort.model.init_discriminator(lort.init_weights(cfg, seed=5), seed=6)
+    ws = lort.init_weights(cfg, seed=5)
+    disc = lort.model.init_discriminator(lort.WeightStore(), seed=6)
     noisy, clean = make_toy_task(cfg, seed=5, duration_s=0.25)
-    before = {name: ws[name].tobytes() for name in ws}
+    stores = (ws, disc)
+    before = [{name: store[name].tobytes() for name in store} for store in stores]
     samples = noisy.samples.tobytes()
     res = lort.forward(noisy, ws, cfg)
     ref = lort.stft(clean, cfg.fft_len, cfg.win_len, cfg.hop)
-    lort.evaluate_losses(res.spec, ref, lort.LossWeights(*cfg.loss_weights), disc=ws)
+    lort.evaluate_losses(res.spec, ref, lort.LossWeights(*cfg.loss_weights), disc=disc)
     assert noisy.samples.tobytes() == samples
-    assert {name: ws[name].tobytes() for name in ws} == before
+    assert [{name: store[name].tobytes() for name in store} for store in stores] == before
 
 
 def test_dense_stack_peak_memory_is_one_buffer():

@@ -71,7 +71,7 @@ def test_config_validation():
         with pytest.raises(InvalidParameterError, match=match):
             ModelConfig(fft_len=fft_len, win_len=win_len, hop=hop, channels=4, n_blocks=1)
     cfg = ModelConfig()
-    assert cfg.freq_bins == 256 and cfg.enc_bins == 128 and cfg.block_channels == 48
+    assert cfg.freq_bins == 256 and cfg.block_channels == 48
 
 
 def test_settable_surface_is_pinned():
@@ -135,6 +135,52 @@ def test_every_export_resolves():
             checked += 1
     assert checked >= 50
     assert not read & set(GATE_ONLY_EXPORTS), "an allowlisted export has gained a caller"
+
+
+# dataclasses some method reads whole, so no attribute load names each field
+WHOLE_READ_CLASSES = {"LossReport": "to_line prints every field"}
+
+
+def _walk(paths):
+    """Every AST node of the files at `paths`."""
+    for path in paths:
+        yield from ast.walk(ast.parse(path.read_text()))
+
+
+def _decorator_names(node):
+    """The bare names `node` is decorated with, called or not."""
+    decorators = [getattr(d, "func", d) for d in node.decorator_list]
+    return {d.id for d in decorators if isinstance(d, ast.Name)}
+
+
+def _stored_values(nodes):
+    """(class, name) of every dataclass field and @property among `nodes`."""
+    for cls in nodes:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        is_dataclass = "dataclass" in _decorator_names(cls)
+        for stmt in cls.body:
+            if (is_dataclass and isinstance(stmt, ast.AnnAssign)
+                    and "ClassVar" not in ast.unparse(stmt.annotation)):
+                yield cls.name, stmt.target.id
+            elif isinstance(stmt, ast.FunctionDef) and "property" in _decorator_names(stmt):
+                yield cls.name, stmt.name
+
+
+def test_every_stored_value_is_read():
+    # a field or property that only tests read is kept for no program; the
+    # acceptance gates count as programs
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src = sorted((root / "src" / "lort").glob("*.py"))
+    programs = [*src, *(root / "perfbench").glob("*.py"), root / "tests" / "test_acceptance.py"]
+    read = {node.attr for node in _walk(programs)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    values = list(_stored_values(_walk(src)))
+    unread = [f"{cls}.{name}" for cls, name in values
+              if name not in read and cls not in WHOLE_READ_CLASSES]
+    assert not unread, f"no program reads {unread}"
+    assert len(values) >= 30
+    assert set(WHOLE_READ_CLASSES) <= {cls for cls, _ in values}
 
 
 def test_every_accepted_config_runs_forward():
@@ -244,9 +290,10 @@ def test_forward_rejects_tensors_no_layer_declares():
     ws = init_weights(TWO_BLOCKS)
     with pytest.raises(WeightLookupError, match=r"no layer .* declares: \['block1\."):
         forward(noise(4000), ws, MICRO)
-    # the critic's tensors may share the store
+    # the critic's tensors are no layer's of the generator either
     ws = init_discriminator(init_weights(MICRO), seed=1)
-    assert len(forward(noise(4000), ws, MICRO).wave) == 4000
+    with pytest.raises(WeightLookupError, match=r"no layer .* declares: \['disc\.block0\."):
+        forward(noise(4000), ws, MICRO)
 
 
 def test_weight_file_roundtrip_preserves_forward(tmp_path):
@@ -355,7 +402,7 @@ def test_stage_layers_shapes():
     rng = np.random.default_rng(12)
     feat = rng.standard_normal((1, 2, 20, MICRO.freq_bins))
     enc = Encoder(MICRO)(ws, feat)
-    assert enc.shape == (1, MICRO.channels, 20, MICRO.enc_bins)
+    assert enc.shape == (1, MICRO.channels, 20, 17)  # ceil(33 / 2) bins
     emb = Dsdcn("embed", MICRO.channels)(ws, enc)
     assert emb.shape == enc.shape
     xb = rng.standard_normal((1, MICRO.block_channels, 10, 8))

@@ -70,6 +70,24 @@ def test_wav_parse_errors_name_the_field():
         read_wav(good[:-10])
 
 
+def riff(*chunks: bytes) -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + len(body).to_bytes(4, "little") + body
+
+
+def test_wav_rejects_a_repeated_fmt_or_data_chunk():
+    good = write_wav(Waveform(np.arange(4) / 8.0))
+    fmt16, data4 = good[12:36], good[36:]  # the data chunk ends at byte 52
+    assert read_wav(riff(fmt16, data4)).samples.tobytes() == read_wav(good).samples.tobytes()
+    # a second data chunk would replace the samples; a fmt chunk after the
+    # data would relabel their rate
+    data2 = b"data" + (4).to_bytes(4, "little") + b"\x01\x00\x02\x00"
+    fmt8 = write_wav(Waveform(np.zeros(4), sample_rate=8000))[12:36]
+    for extra, cid in [(data2, "data"), (fmt8, "fmt ")]:
+        with pytest.raises(WavParseError, match=f"repeated chunk b'{cid}' at byte 52"):
+            read_wav(riff(fmt16, data4, extra))
+
+
 def try_read_wav(data: bytes) -> None:
     """Parse `data`; a LortError is a correct outcome, any other error escapes."""
     try:

@@ -117,6 +117,18 @@ def test_duplicate_and_truncated_manifest():
         WeightStore.from_bytes(data[:40])
 
 
+def test_entries_lie_back_to_back():
+    # two entries over the same bytes, and an entry past a skipped gap
+    aliased = with_manifest({"entries": [entry(), entry(name="v")]}) + b"\x00" * 8
+    with pytest.raises(WeightFormatError, match=r"entry 1 \('v'\): field 'offset' is 0, "
+                                                r"but the previous entry ends at 8"):
+        WeightStore.from_bytes(aliased)
+    gapped = with_manifest({"entries": [entry(shape=[1], offset=4)]}) + b"\x00" * 8
+    with pytest.raises(WeightFormatError, match=r"entry 0 \('w'\): field 'offset' is 4, "
+                                               r"but the previous entry ends at 0"):
+        WeightStore.from_bytes(gapped)
+
+
 def try_parse(data: bytes) -> None:
     """Parse `data`; a LortError is a correct outcome, any other error escapes."""
     try:
