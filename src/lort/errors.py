@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all lort modules."""
+"""Exception hierarchy shared by all lort modules, and the checks that raise it."""
+
+import numpy as np
 
 
 class LortError(Exception):
@@ -50,3 +52,12 @@ def check_int(name: str, value, low: int, error: type[LortError]) -> None:
     a bool or a numpy int is rejected (`type(value) is int`)."""
     if type(value) is not int or value < low:
         raise error(f"{name} must be an int >= {low}, got {value!r}")
+
+
+def as_float64(name: str, value) -> np.ndarray:
+    """`value` as a float64 array, aliased as `np.asarray(value, dtype=np.float64)`
+    would; an `InvalidInputError` names `name` unless it holds bools, ints or reals."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import attention as att
 from .arrays import FlopMeter, lsigmoid, silu
-from .errors import (InvalidInputError, InvalidParameterError, ShapeError, WeightLookupError,
-                     check_int)
+from .errors import InvalidParameterError, ShapeError, WeightLookupError, check_int
 from .layers import Conv, DenseStack, Layer, Norm, Param, PRelu, init_store, zero_store
 from .local_refine import Lrc, lrc_block
 from .signal import (OLA_FLOOR, SAMPLE_RATE, ComplexSpec, Waveform, angle, check_stft_sizes,
@@ -70,14 +69,6 @@ class ModelConfig:
         if self.block_channels % self.heads:
             raise InvalidParameterError(
                 f"block channels {self.block_channels} not divisible by {self.heads} heads"
-            )
-
-    def check_rate(self, wave: Waveform) -> None:
-        """Reject audio sampled at a rate other than the model's."""
-        if wave.sample_rate != self.sample_rate:
-            raise InvalidInputError(
-                f"input sample rate {wave.sample_rate} Hz does not match the model's "
-                f"sample_rate {self.sample_rate} Hz"
             )
 
     @property
@@ -306,7 +297,6 @@ class LortModel(Layer):
         return h + skip
 
     def forward(self, noisy: Waveform, ws: WeightStore) -> ForwardResult:
-        self.cfg.check_rate(noisy)
         shapes = self.shapes
         missing = ws.missing(shapes)
         if missing:

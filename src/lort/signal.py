@@ -17,6 +17,7 @@ from .errors import (
     NonInvertibleWindowError,
     ShapeError,
     WavParseError,
+    as_float64,
     check_int,
 )
 
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 
-SAMPLE_RATE = 16000  # the one rate the model accepts, and a Waveform's default
+SAMPLE_RATE = 16000  # the one rate a Waveform holds, and its default
 
 
 @dataclass
@@ -46,12 +47,15 @@ class Waveform:
     sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        self.samples = as_float64("samples", self.samples)
         if self.samples.ndim != 1:
             raise InvalidInputError(f"waveform must be 1-D, got shape {self.samples.shape}")
         if not np.all(np.isfinite(self.samples)):
             raise InvalidInputError("waveform contains non-finite samples")
         check_int("sample_rate", self.sample_rate, 1, InvalidInputError)
+        if self.sample_rate != SAMPLE_RATE:
+            raise InvalidInputError(f"sample_rate {self.sample_rate} Hz is not the "
+                                    f"{SAMPLE_RATE} Hz the model runs at")
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -70,8 +74,8 @@ class ComplexSpec:
 
     def __post_init__(self) -> None:
         check_stft_sizes(self.fft_len, self.win_len, self.hop, InvalidInputError)
-        self.re = np.asarray(self.re, dtype=np.float64)
-        self.im = np.asarray(self.im, dtype=np.float64)
+        self.re = as_float64("re", self.re)
+        self.im = as_float64("im", self.im)
         if self.re.shape != self.im.shape or self.re.ndim != 2:
             raise ShapeError(f"re/im must share a (T, F) shape, got {self.re.shape} / {self.im.shape}")
         if self.re.shape[1] != self.fft_len // 2 + 1:
@@ -133,11 +137,7 @@ _U32 = 2**32 - 1
 
 def write_wav(wf: Waveform) -> bytes:
     """Serialize a Waveform as a canonical 44-byte-header PCM16 mono file."""
-    # the header's byte-rate and RIFF size fields are 32-bit
-    if 2 * wf.sample_rate > _U32:
-        raise InvalidInputError(
-            f"sample_rate {wf.sample_rate} Hz is too high for a WAV header: its byte rate "
-            f"2 * sample_rate must fit in 32 bits")
+    # the header's RIFF size field is 32-bit
     if 36 + 2 * len(wf) > _U32:
         raise InvalidInputError(
             f"{len(wf)} samples are too many for one WAV file: the RIFF size field "

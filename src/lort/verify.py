@@ -268,16 +268,15 @@ def make_toy_task(cfg: ModelConfig, seed: int = 0,
     return Waveform(clean + noise, cfg.sample_rate), Waveform(clean, cfg.sample_rate)
 
 
-def _flatten(ws: WeightStore, names) -> np.ndarray:
-    return np.concatenate([ws[n].ravel() for n in names])
+def _flatten(ws: WeightStore, shapes: dict[str, tuple[int, ...]]) -> np.ndarray:
+    return np.concatenate([ws[n].ravel() for n in shapes])
 
 
-def _unflatten(theta: np.ndarray, template: WeightStore, names) -> WeightStore:
+def _unflatten(theta: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> WeightStore:
     out = WeightStore()
     pos = 0
-    for n in names:
-        shape = template[n].shape
-        size = int(np.prod(shape)) if shape else 1
+    for n, shape in shapes.items():
+        size = math.prod(shape)
         out[n] = theta[pos : pos + size].reshape(shape)
         pos += size
     return out
@@ -300,11 +299,10 @@ def spsa_train(spsa: SpsaConfig | None = None) -> SpsaResult:
     disc = init_discriminator(WeightStore(), seed=spsa.seed)
     ws0 = init_weights(cfg, seed=spsa.seed)
     model = build_model(cfg)
-    names = model.param_names()
-    theta = _flatten(ws0, names)
+    theta = _flatten(ws0, model.shapes)
 
     def evaluate(vec: np.ndarray) -> float:
-        res = model.forward(noisy, _unflatten(vec, ws0, names))
+        res = model.forward(noisy, _unflatten(vec, model.shapes))
         return evaluate_losses(res.spec, ref_spec, disc=disc).total
 
     big_a = 0.1 * spsa.iterations

@@ -11,18 +11,28 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import WeightFormatError, WeightLookupError, check_int
+from .errors import WeightFormatError, WeightLookupError, as_float64, check_int
 
 __all__ = ["WeightStore"]
 
 _MAGIC = b"LORTW001"
+_FORMAT = "lort-weights"
 _DTYPE_TAG = "f32-le"
+_HEADER_KEYS = ("format", "entries")
+_ENTRY_KEYS = ("name", "shape", "offset", "dtype")
+
+
+def _reject_unknown_keys(where: str, obj: dict, known: tuple[str, ...]) -> None:
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise WeightFormatError(f"{where}: unknown key {unknown[0]!r}; known keys are {known}")
 
 
 def _parse_entry(i: int, ent) -> tuple[str, tuple[int, ...], int]:
     """Validated (name, shape, offset) of manifest entry `i`."""
     if not isinstance(ent, dict):
         raise WeightFormatError(f"entry {i}: must be a JSON object, got {type(ent).__name__}")
+    _reject_unknown_keys(f"entry {i}", ent, _ENTRY_KEYS)
     name = ent.get("name")
     if not isinstance(name, str):
         raise WeightFormatError(f"entry {i}: field 'name' must be a string, got {name!r}")
@@ -52,7 +62,7 @@ class WeightStore:
             raise WeightLookupError(f"missing parameter {name!r}") from None
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
-        self._entries[name] = np.asarray(value, dtype=np.float64)
+        self._entries[name] = as_float64(f"weight {name!r}", value)
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -88,7 +98,7 @@ class WeightStore:
                              "dtype": _DTYPE_TAG})
             blobs.append(raw)
             offset += len(raw)
-        header = json.dumps({"format": "lort-weights", "entries": manifest},
+        header = json.dumps({"format": _FORMAT, "entries": manifest},
                             indent=1).encode()
         return _MAGIC + len(header).to_bytes(8, "little") + header + b"".join(blobs)
 
@@ -111,7 +121,13 @@ class WeightStore:
             raise WeightFormatError(
                 f"manifest must be a JSON object, got {type(header).__name__}"
             )
-        entries = header.get("entries", [])
+        _reject_unknown_keys("manifest", header, _HEADER_KEYS)
+        if header.get("format") != _FORMAT:
+            raise WeightFormatError(f"manifest field 'format' must be {_FORMAT!r}, "
+                                    f"got {header.get('format')!r}")
+        if "entries" not in header:
+            raise WeightFormatError("manifest field 'entries' is missing")
+        entries = header["entries"]
         if not isinstance(entries, list):
             raise WeightFormatError(
                 f"manifest field 'entries' must be a list, got {type(entries).__name__}"

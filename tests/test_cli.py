@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,14 @@ def write_noise(path, n=4000, seed=0):
     wf = Waveform(0.1 * np.random.default_rng(seed).standard_normal(n))
     path.write_bytes(write_wav(wf))
     return wf
+
+
+def wav_at_8khz(n=4000) -> bytes:
+    """A PCM16 WAV of `n` zeros whose header says 8 kHz (a Waveform holds
+    only 16 kHz, so the rate and byte rate are patched into the header)."""
+    data = bytearray(write_wav(Waveform(np.zeros(n))))
+    data[24:32] = struct.pack("<II", 8000, 16000)  # nSamplesPerSec, nAvgBytesPerSec
+    return bytes(data)
 
 
 def test_gradcheck_reports_small_error(capsys):
@@ -140,7 +149,7 @@ def test_malformed_weights_exit_nonzero(tmp_path, capsys):
 
 def test_enhance_rejects_other_sample_rate(tmp_path, capsys):
     noisy = tmp_path / "noisy8k.wav"
-    noisy.write_bytes(write_wav(Waveform(np.zeros(4000), sample_rate=8000)))
+    noisy.write_bytes(wav_at_8khz())
     weights = tmp_path / "w.bin"
     assert run(["init-weights", "--out", str(weights)] + MICRO_ARGS) == 0
     out = tmp_path / "o.wav"
@@ -154,7 +163,7 @@ def test_enhance_rejects_other_sample_rate(tmp_path, capsys):
 
 def test_losses_rejects_other_sample_rate(tmp_path, capsys):
     wav = tmp_path / "x8k.wav"
-    wav.write_bytes(write_wav(Waveform(np.zeros(4000), sample_rate=8000)))
+    wav.write_bytes(wav_at_8khz())
     assert run(["losses", "--ref", str(wav), "--est", str(wav)] + MICRO_ARGS) == 2
     captured = capsys.readouterr()
     assert "8000 Hz" in captured.err and "16000 Hz" in captured.err

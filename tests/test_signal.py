@@ -1,5 +1,8 @@
+import ast
 import dataclasses
 import inspect
+import pathlib
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -82,7 +85,7 @@ def test_wav_rejects_a_repeated_fmt_or_data_chunk():
     # a second data chunk would replace the samples; a fmt chunk after the
     # data would relabel their rate
     data2 = b"data" + (4).to_bytes(4, "little") + b"\x01\x00\x02\x00"
-    fmt8 = write_wav(Waveform(np.zeros(4), sample_rate=8000))[12:36]
+    fmt8 = fmt16[:12] + struct.pack("<II", 8000, 16000) + fmt16[20:]  # rate, byte rate
     for extra, cid in [(data2, "data"), (fmt8, "fmt ")]:
         with pytest.raises(WavParseError, match=f"repeated chunk b'{cid}' at byte 52"):
             read_wav(riff(fmt16, data4, extra))
@@ -125,20 +128,54 @@ def test_waveform_validation():
 
 
 def test_write_wav_rejects_what_the_header_cannot_hold():
-    # read_wav takes any 32-bit rate; the byte rate 2 * rate must fit too
+    # a rate whose byte rate 2 * rate overflows the header is not 16 kHz, so
+    # neither read_wav nor Waveform accepts it and write_wav never sees it
     data = bytearray(write_wav(make_noise(8)))
     data[24:28] = (2**31).to_bytes(4, "little")  # nSamplesPerSec
-    wf = read_wav(bytes(data))
-    assert wf.sample_rate == 2**31
     with pytest.raises(InvalidInputError, match=r"sample_rate 2147483648 "):
-        write_wav(wf)
-    assert len(write_wav(Waveform(np.zeros(4), 2**31 - 1))) == 52
+        read_wav(bytes(data))
+    with pytest.raises(InvalidInputError, match=r"sample_rate 2147483647 "):
+        Waveform(np.zeros(4), 2**31 - 1)
+    assert len(write_wav(Waveform(np.zeros(4)))) == 52
     # the RIFF size 36 + 2 * samples must fit as well (a read-only
     # broadcast stands in for 2**31 samples)
     wf = make_noise(4)
     wf.samples = np.broadcast_to(0.0, (2**31,))
     with pytest.raises(InvalidInputError, match=r"2147483648 samples are too many"):
         write_wav(wf)
+
+
+def test_only_signal_compares_a_sample_rate():
+    # Waveform states the rate rule once; no other module may compare a
+    # `.sample_rate` or name the rate as a literal
+    src = pathlib.Path(signal.__file__).parent
+    modules = [path for path in sorted(src.glob("*.py")) if path.name != "signal.py"]
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            compares_rate = isinstance(node, ast.Compare) and any(
+                isinstance(n, ast.Attribute) and n.attr == "sample_rate" for n in ast.walk(node))
+            names_rate = isinstance(node, ast.Constant) and node.value == 16000
+            if compares_rate or names_rate:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"sample rate checked outside signal.py at {found}"
+    assert len(modules) >= 10
+
+
+def test_waveform_samples_must_be_real():
+    for value, dtype in [(np.array([1 + 1j, 2]), "complex128"), (["a"], "<U1"),
+                         ([None, 1.0], "object")]:
+        with pytest.raises(InvalidInputError,
+                           match=f"samples must hold real numbers, got dtype {dtype}"):
+            Waveform(value)
+    # bools, ints and floats convert as np.asarray(..., dtype=np.float64) does
+    x = np.arange(4.0)
+    assert Waveform(x).samples is x
+    for value in (np.arange(4, dtype=np.int16), [0, 1, 2, 3], np.array([True, False]),
+                  np.arange(4, dtype=np.float32), np.arange(8.0)[::2]):
+        got = Waveform(value).samples
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.asarray(value, dtype=np.float64).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +304,17 @@ def test_angle_folds_minus_pi_to_pi():
     im = np.array([-0.0, 0.0, 1.0, -1.0])
     re = np.array([-1.0, -1.0, 0.0, 0.0])
     npt.assert_array_equal(angle(im, re), [np.pi, np.pi, np.pi / 2, -np.pi / 2])
+
+
+@pytest.mark.parametrize("plane", ["re", "im"])
+def test_complex_spec_planes_must_be_real(plane):
+    for bad, dtype in [([["x"] * 33] * 4, "<U1"), (np.zeros((4, 33), complex), "complex128")]:
+        planes = {"re": np.zeros((4, 33)), "im": np.zeros((4, 33)), plane: bad}
+        with pytest.raises(InvalidInputError,
+                           match=f"{plane} must hold real numbers, got dtype {dtype}"):
+            ComplexSpec(planes["re"], planes["im"], 64, 64, 16)
+    ok = np.zeros((4, 33))
+    assert getattr(ComplexSpec(ok, ok, 64, 64, 16), plane) is ok
 
 
 def test_complex_spec_shape_validation():

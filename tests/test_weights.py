@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from lort.errors import LortError, WeightFormatError, WeightLookupError
+from lort.errors import InvalidInputError, LortError, WeightFormatError, WeightLookupError
 from lort.weights import WeightStore
 
 
@@ -73,8 +73,23 @@ def test_values_stored_as_float64():
     assert ws["x"].dtype == np.float64
 
 
+def test_store_rejects_a_tensor_that_is_not_real():
+    ws = WeightStore()
+    for value, dtype in [("abc", "<U3"), (np.ones(2, complex), "complex128")]:
+        with pytest.raises(InvalidInputError,
+                           match=f"weight 'w' must hold real numbers, got dtype {dtype}"):
+            ws["w"] = value
+    assert "w" not in ws
+    x = np.ones(3)
+    ws["w"] = x
+    assert ws["w"] is x
+
+
 def with_manifest(header) -> bytes:
-    """A container whose manifest is `header` (JSON-encoded), with no blob."""
+    """A container whose manifest is `header` (JSON-encoded), with no blob; a
+    dict header without a "format" gets the one `to_bytes` writes."""
+    if isinstance(header, dict):
+        header = {"format": "lort-weights", **header}
     raw = json.dumps(header).encode()
     return b"LORTW001" + len(raw).to_bytes(8, "little") + raw
 
@@ -99,6 +114,11 @@ def entry(**fields):
     ({"entries": [entry(offset=None)]}, "field 'offset'"),
     ({"entries": [entry(dtype="f64")]}, "unsupported dtype"),
     ({"entries": [entry(shape=[1] * 80)]}, "field 'shape'"),
+    ({"format": "something-else", "entries": []},
+     "field 'format' must be 'lort-weights', got 'something-else'"),
+    ({}, "field 'entries' is missing"),
+    ({"entries": [entry()], "extra": 1}, "manifest: unknown key 'extra'"),
+    ({"entries": [entry(extra=1)]}, "entry 0: unknown key 'extra'"),
 ])
 def test_malformed_manifest_names_entry_and_field(header, match):
     data = with_manifest(header)
