@@ -56,8 +56,13 @@ def check_int(name: str, value, low: int, error: type[LortError]) -> None:
 
 def as_float64(name: str, value) -> np.ndarray:
     """`value` as a float64 array, aliased as `np.asarray(value, dtype=np.float64)`
-    would; an `InvalidInputError` names `name` unless it holds bools, ints or reals."""
-    arr = np.asarray(value)
+    would; an `InvalidInputError` names `name` unless it is one array (not
+    ragged nested sequences) of bools, ints or reals."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting: numpy names no field
+        raise InvalidInputError(
+            f"{name} must be a rectangular array of real numbers: {exc}") from None
     if arr.dtype.kind not in "biuf":
         raise InvalidInputError(f"{name} must hold real numbers, got dtype {arr.dtype}")
     return arr.astype(np.float64, copy=False)

@@ -111,26 +111,46 @@ class DenseStack(Layer):
 
     A layer's first sub-layer is a stride-1 Conv; the others are Convs, or
     epilogues (Norm, PRelu) that take `out=`. No concat is built: one
-    zero-bordered buffer (B, C_last, H + 2P, W + 2P) holds the input and
+    zero-bordered buffer (B, C_last, H + 2P, W + 2Q) holds the input and
     every layer output but the last, where C_last is the last layer's input
-    channels and P the largest padding of the layers' first convs. Layer
-    j's first conv reads its channels and its own border of that buffer as
-    a view at padding 0. Each later sub-layer of a layer runs on that
-    conv's fresh output, the epilogues in place, and only the last one
-    writes into the layer's channel slice. The buffer is released once the
-    last layer's first conv has read it, so the last layer's other
+    channels and (P, Q) the largest padding of the layers' first convs.
+    Layer j's first conv reads its channels and its own border of that
+    buffer as a view at padding 0. Each later sub-layer of a layer runs on
+    that conv's fresh output, the epilogues in place, and only the last
+    one writes into the layer's channel slice. The buffer is released once
+    the last layer's first conv has read it, so the last layer's other
     sub-layers run beside no buffer (Pleiss et al., "Memory-Efficient
     Implementation of DenseNets", arXiv:1707.06990).
+
+    Orientation: a first conv computes every column of the buffer's row
+    pitch and keeps W of them per row, H·(W + 2Q) outputs for H·W kept.
+    When that is more than W·(H + 2P), the cost with the axes swapped, the
+    stack runs on the transposed plane: the buffer is (B, C_last, W + 2Q,
+    H + 2P), the input is written into it transposed, each first conv runs
+    with kernel and dilation swapped on its weight read as a transposed
+    view, the epilogues run on the transposed maps, and the last output is
+    returned as a transposed view. Only the input shape decides. A stack
+    whose layers run a Conv after the first one (the `Dlc` stacks, whose
+    border is (0, 0)) always keeps the (H, W) plane.
     """
 
     def __init__(self, layers):
         self.layers = [tuple(layer) for layer in layers]
         heads = [layer[0] for layer in self.layers]
         self._cins = [conv.cin for conv in heads]
-        self._pads = [conv.spec.padding for conv in heads]
-        self._border = tuple(max(p[i] for p in self._pads) for i in range(2))
+        pads = [conv.spec.padding for conv in heads]
+        border = tuple(max(p[i] for p in pads) for i in range(2))
         # the heads read their padding from the buffer's border
-        self._specs = [replace(conv.spec, padding=(0, 0)) for conv in heads]
+        specs = [replace(conv.spec, padding=(0, 0)) for conv in heads]
+        # (border, head paddings, head specs) on the (H, W) plane, then on
+        # the transposed (W, H) plane
+        self._planes = (
+            (border, pads, specs),
+            (border[::-1], [p[::-1] for p in pads],
+             [replace(sp, kernel=sp.kernel[::-1], dilation=sp.dilation[::-1]) for sp in specs]),
+        )
+        self._may_transpose = all(not isinstance(sub, Conv)
+                                  for layer in self.layers for sub in layer[1:])
 
     def __call__(self, ws, x, stem: Conv | None = None):
         if stem is not None:
@@ -139,25 +159,35 @@ class DenseStack(Layer):
         if x.ndim != 4 or x.shape[1] != cins[0]:
             raise ShapeError(f"dense stack expects (B, {cins[0]}, H, W), got shape {x.shape}")
         b, c, h, w = x.shape
-        bh, bw = self._border
+        bh, bw = self._planes[0][0]
+        flip = self._may_transpose and h * (w + 2 * bw) > w * (h + 2 * bh)
+        if flip:
+            x = x.transpose(0, 1, 3, 2)
+            h, w, bh, bw = w, h, bw, bh
         dtype = np.result_type(x, ws[f"{self.layers[0][0].name}.w"])
         buf = np.zeros((b, cins[-1], h + 2 * bh, w + 2 * bw), dtype=dtype)
         maps = buf[:, :, bh : bh + h, bw : bw + w]
         maps[:, :c] = x
         del x  # a stem's output lives on in the buffer only
         for j, layer in enumerate(self.layers[:-1]):
-            _tail(ws, layer[1:], self._head(ws, buf, j), maps[:, cins[j] : cins[j + 1]])
-        z = self._head(ws, buf, len(cins) - 1)
+            _tail(ws, layer[1:], self._head(ws, buf, j, flip), maps[:, cins[j] : cins[j + 1]])
+        z = self._head(ws, buf, len(cins) - 1, flip)
         del buf, maps  # the last head conv was the buffer's last reader
-        return _tail(ws, self.layers[-1][1:], z)
+        z = _tail(ws, self.layers[-1][1:], z)
+        return z.transpose(0, 1, 3, 2) if flip else z
 
-    def _head(self, ws, buf, j):
-        """Layer j's first conv over its channels and border of the buffer."""
-        (bh, bw), (ph, pw) = self._border, self._pads[j]
+    def _head(self, ws, buf, j, flip):
+        """Layer j's first conv over its channels and border of the buffer,
+        on the transposed plane when `flip`."""
+        (bh, bw), pads, specs = self._planes[flip]
+        ph, pw = pads[j]
         h, w = buf.shape[2] - 2 * bh, buf.shape[3] - 2 * bw
         conv = self.layers[j][0]
         view = buf[:, : self._cins[j], bh - ph : bh + h + ph, bw - pw : bw + w + pw]
-        return conv2d(view, ws[f"{conv.name}.w"], ws[f"{conv.name}.b"], self._specs[j])
+        weight = ws[f"{conv.name}.w"]
+        if flip:
+            weight = weight.transpose(0, 1, 3, 2)
+        return conv2d(view, weight, ws[f"{conv.name}.b"], specs[j])
 
 
 def _tail(ws, subs, z, out=None):

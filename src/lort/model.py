@@ -17,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import attention as att
-from .arrays import FlopMeter, lsigmoid, silu
+from .arrays import FlopMeter, lsigmoid, silu, zero_pad
 from .errors import InvalidParameterError, ShapeError, WeightLookupError, check_int
 from .layers import Conv, DenseStack, Layer, Norm, Param, PRelu, init_store, zero_store
 from .local_refine import Lrc, lrc_block
@@ -93,7 +93,7 @@ def _fit(x: np.ndarray, t: int, f: int) -> np.ndarray:
     x = x[:, :, :t, :f]
     pt, pf = t - x.shape[2], f - x.shape[3]
     if pt or pf:
-        x = np.pad(x, ((0, 0), (0, 0), (0, pt), (0, pf)))
+        x = zero_pad(x, (0, pt), (0, pf))
     return x
 
 
@@ -169,21 +169,35 @@ class Dsdcn(Layer):
             f0 = np.floor(pf).astype(np.int64)
             wt = pt - t0
             wf = pf - f0
+            # per axis and corner side: the clipped row part and the weight,
+            # zero out of range; a corner's row and weight are their sums
+            # and products
+            rows_t, wts_t = _axis_taps(t0, wt, t)
+            rows_f, wts_f = _axis_taps(f0, wf, f)
+            rows_t = [items + r * f for r in rows_t]
             tap.fill(0.0)
-            for dt, dwt in ((0, 1.0 - wt), (1, wt)):
-                for df, dwf in ((0, 1.0 - wf), (1, wf)):
-                    ti = t0 + dt
-                    fi = f0 + df
-                    valid = (ti >= 0) & (ti < t) & (fi >= 0) & (fi < f)
-                    row = items + np.clip(ti, 0, t - 1) * f + np.clip(fi, 0, f - 1)
-                    np.take(plane, row.ravel(), axis=0, out=corner, mode="clip")
-                    corner *= (dwt * dwf * valid).reshape(-1, 1)
+            for rt, wtt in zip(rows_t, wts_t):
+                for rf, wtf in zip(rows_f, wts_f):
+                    np.take(plane, (rt + rf).ravel(), axis=0, out=corner, mode="clip")
+                    corner *= (wtt * wtf).reshape(-1, 1)
                     tap += corner
             tap *= w[:, 0, a, cc]
             acc += tap
         # channel-major result: the pointwise conv reads one item without a copy
         out = np.add(acc.T, ws[self.dw_b.name][:, None], order="C")
         return self.pw(ws, out.reshape(c, b, t, f).transpose(1, 0, 2, 3))
+
+
+def _axis_taps(i0, frac, n):
+    """Clipped indices and weights of the two bilinear neighbours i0 and
+    i0 + 1 along an axis of n samples: weights 1 - frac and frac, times
+    whether the neighbour lies in [0, n)."""
+    rows, wts = [], []
+    for d, wd in ((0, 1.0 - frac), (1, frac)):
+        i = i0 + d
+        rows.append(np.minimum(np.maximum(i, 0), n - 1))
+        wts.append(wd * ((i >= 0) & (i < n)))
+    return rows, wts
 
 
 class Ffn(Layer):

@@ -204,12 +204,21 @@ def stft(x: Waveform, fft_len: int, win_len: int, hop: int) -> ComplexSpec:
 
 
 def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Sum of the rows of `frames`, row m shifted by m * hop samples."""
+    """Sum of the rows of `frames`, row m shifted by m * hop samples.
+
+    The output is read as rows of `hop` samples: column slab s of the
+    frames (columns s*hop up to (s+1)*hop, a view) lands on rows s to
+    s + t - 1, so k = ceil(n / hop) slab adds replace t frame adds. Slabs
+    go from k - 1 down to 0, so each sample sums its frames from row 0
+    up, in the order of a per-frame loop, bit for bit.
+    """
     t, n = frames.shape
-    out = np.zeros((t - 1) * hop + n)
-    for m in range(t):
-        out[m * hop : m * hop + n] += frames[m]
-    return out
+    k = -(-n // hop)
+    out = np.zeros((t + k - 1, hop))
+    for s in range(k - 1, -1, -1):
+        slab = frames[:, s * hop : (s + 1) * hop]
+        out[s : s + t, : slab.shape[1]] += slab
+    return out.reshape(-1)[: (t - 1) * hop + n]
 
 
 def invertible(win_len: int, hop: int) -> bool:

@@ -16,6 +16,7 @@ from lort.arrays import (
     sigmoid,
     silu,
     softmax,
+    zero_pad,
 )
 from lort.errors import InvalidParameterError, InvalidSpecError, ShapeError
 
@@ -340,3 +341,14 @@ def test_softmax_rows():
     p = softmax(x)
     npt.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
     assert np.all(p >= 0)
+
+
+@pytest.mark.parametrize("rows,cols", [((1, 1), (1, 1)), ((0, 3), (0, 2)), ((2, 0), (0, 0)),
+                                       ((0, 0), (4, 1))])
+def test_zero_pad_is_np_pad(rows, cols):
+    x = np.random.default_rng(8).standard_normal((2, 3, 5, 7))
+    for src in (x, x.transpose(0, 1, 3, 2), x.astype(np.float32)[:, :, 1:, ::2]):
+        want = np.pad(src, ((0, 0), (0, 0), rows, cols))
+        got = zero_pad(src, rows, cols)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()

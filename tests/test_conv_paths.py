@@ -10,7 +10,7 @@ Specs are drawn from a seeded generator so every run checks the same cases.
 import numpy as np
 import pytest
 
-from lort import model
+from lort import arrays, model
 from lort.arrays import ConvSpec, FlopMeter, _check_conv, add_macs, conv2d, same_pad
 from lort.errors import InvalidSpecError
 from lort.layers import init_store
@@ -347,11 +347,13 @@ def test_fast_paths_build_no_window_view(monkeypatch):
         raise AssertionError("input copied")
 
     monkeypatch.setattr(np, "pad", no_copy)
+    monkeypatch.setattr(arrays, "zero_pad", no_copy)
     monkeypatch.setattr(np, "ascontiguousarray", no_copy)
     for case in bordered_views(rng):
         conv2d(*case)
     stack = model.dilated_dense("dense", 4, (1, 2, 4, 8))
-    stack(init_store(stack.manifest()), rng.standard_normal((2, 4, 9, 10)))
+    for shape in ((2, 4, 9, 10), (2, 4, 10, 9)):  # (H, W) and transposed plane
+        stack(init_store(stack.manifest()), rng.standard_normal(shape))
     with pytest.raises(AssertionError, match="input copied"):
         conv2d(x, rng.standard_normal((3, 4, 3, 3)), None, ConvSpec(kernel=(3, 3), padding=(1, 1)))
 

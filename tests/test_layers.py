@@ -92,17 +92,48 @@ def shifted_store(stack, seed):
     return ws
 
 
+# (H, W) planes on each side of the orientation rule: the bordered stacks
+# (border 8 on both axes) run on the transposed plane exactly when W < H,
+# where H·(W + 16) > W·(H + 16)
+PLANES = {"w<h": (23, 17), "w>h": (17, 23), "w==h": (19, 19)}
+
+
+@pytest.mark.parametrize("plane", PLANES)
 @pytest.mark.parametrize("name,stack,cin", stacks(), ids=[s[0] for s in stacks()])
-def test_dense_stack_matches_concat_oracle(name, stack, cin):
+def test_dense_stack_matches_concat_oracle(name, stack, cin, plane):
     rng = np.random.default_rng(20)
     ws = shifted_store(stack, 21)
-    x = rng.standard_normal((2, cin, 23, 17))
+    h, w = PLANES[plane]
+    x = rng.standard_normal((2, cin, h, w))
     x_before = x.copy()
     want = dense_concat(stack, ws, x)
     got = stack(ws, x)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
     assert x.tobytes() == x_before.tobytes()  # the caller's input is not written
+    if name.startswith("dlc"):
+        # border (0, 0) and a conv after each compress: the plane is never
+        # transposed, and the output is the oracle's bit for bit
+        assert got.tobytes() == want.tobytes()
+    else:
+        # the transposed plane returns its last map as a transposed view
+        assert (got.strides[3] > got.strides[2]) == (w < h)
+
+
+def test_stack_with_convs_after_the_head_keeps_its_plane():
+    """A bordered stack whose layers run a conv after the first one stays on
+    the (H, W) plane at W < H, where a bare-epilogue stack transposes."""
+    stack = DenseStack(
+        (Conv(f"s.layer{j}.conv", 3 * (j + 1), 3, (3, 3), dilation=(2, 2)),
+         Conv(f"s.layer{j}.tail", 3, 3, (3, 3), dilation=(1, 2)),
+         PRelu(f"s.layer{j}.act", 3))
+        for j in range(3))
+    ws = shifted_store(stack, 34)
+    x = np.random.default_rng(35).standard_normal((1, 3, 21, 9))
+    got = stack(ws, x)
+    want = dense_concat(stack, ws, x)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert got.strides[2] > got.strides[3]
 
 
 def test_dense_stack_promotes_like_the_concat():
@@ -115,13 +146,14 @@ def test_dense_stack_promotes_like_the_concat():
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("plane", PLANES)
 @pytest.mark.parametrize("name,stack,cin", stacks()[:2], ids=[s[0] for s in stacks()[:2]])
-def test_dense_stack_runs_the_stem_handed_to_the_call(name, stack, cin):
+def test_dense_stack_runs_the_stem_handed_to_the_call(name, stack, cin, plane):
     stem = Conv("stem", 3, cin, (1, 1))
     ws = shifted_store(stack, 25)
     for key, value in init_store(stem.manifest(), seed=26).items():
         ws[key] = value
-    x = np.random.default_rng(27).standard_normal((2, 3, 11, 9))
+    x = np.random.default_rng(27).standard_normal((2, 3, *PLANES[plane]))
     assert stack(ws, x, stem=stem).tobytes() == stack(ws, stem(ws, x)).tobytes(), name
 
 
@@ -147,15 +179,17 @@ def test_forward_leaves_caller_arrays_untouched():
     assert [{name: store[name].tobytes() for name in store} for store in stores] == before
 
 
-def test_dense_stack_peak_memory_is_one_buffer():
+@pytest.mark.parametrize("h,w", [(128, 128), (160, 96)], ids=["square", "transposed"])
+def test_dense_stack_peak_memory_is_one_buffer(h, w):
     """One dilated_dense call allocates its bordered buffer and at most three
     maps more (conv accumulator, per-tap temporary, epilogue temporary); a
-    concat or a padded copy of the layer inputs exceeds that."""
+    concat or a padded copy of the layer inputs exceeds that. At W < H the
+    stack runs on the transposed plane, in a buffer as large."""
     stack = dilated_dense("dense", 16, (1, 2, 4, 8))
     ws = init_store(stack.manifest())
-    x = np.random.default_rng(22).standard_normal((1, 16, 128, 128))
+    x = np.random.default_rng(22).standard_normal((1, 16, h, w))
     stack(ws, x)  # warm any lazily allocated state
-    buffer = 64 * (128 + 16) * (128 + 16) * x.itemsize  # Cin + 3 growths, border 8
+    buffer = 64 * (h + 16) * (w + 16) * x.itemsize  # Cin + 3 growths, border 8
     tracemalloc.start()
     try:
         stack(ws, x)
@@ -165,19 +199,21 @@ def test_dense_stack_peak_memory_is_one_buffer():
     assert peak <= buffer + 3 * x.nbytes, (peak, buffer, x.nbytes)
 
 
-def test_encoder_peak_memory_is_its_buffer_and_two_maps():
+@pytest.mark.parametrize("t,f", [(256, 256), (320, 160)], ids=["square", "transposed"])
+def test_encoder_peak_memory_is_its_buffer_and_two_maps(t, f):
     """The encoder frees every map it has stopped reading: its stack runs
     the stem into the buffer and keeps no stem output, each layer's
     epilogues write into the buffer without a temporary, and the buffer
     goes before the last layer's epilogues and the strided down_f. The
     stem output held beside the stack, prelu's a*x product and the
-    previous layer's accumulator (≈3 maps more) exceed the bound."""
+    previous layer's accumulator (≈3 maps more) exceed the bound. At F < T
+    the stack runs on the transposed plane, in a buffer as large."""
     encoder = Encoder(ModelConfig())  # 16 channels
     ws = init_store(encoder.manifest())
-    x = np.random.default_rng(24).standard_normal((1, 2, 256, 256))
+    x = np.random.default_rng(24).standard_normal((1, 2, t, f))
     encoder(ws, x)  # warm any lazily allocated state
-    buffer = 64 * (256 + 16) * (256 + 16) * x.itemsize  # 16 + 3 growths, border 8
-    feature_map = 16 * 256 * 256 * x.itemsize
+    buffer = 64 * (t + 16) * (f + 16) * x.itemsize  # 16 + 3 growths, border 8
+    feature_map = 16 * t * f * x.itemsize
     tracemalloc.start()
     try:
         encoder(ws, x)

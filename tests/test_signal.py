@@ -317,6 +317,15 @@ def test_complex_spec_planes_must_be_real(plane):
     assert getattr(ComplexSpec(ok, ok, 64, 64, 16), plane) is ok
 
 
+def test_ragged_nested_lists_name_their_field():
+    ragged = [[1.0], [1.0, 2.0]]
+    with pytest.raises(InvalidInputError, match="samples must be a rectangular array"):
+        Waveform(ragged)
+    ok = np.zeros((2, 33))
+    with pytest.raises(InvalidInputError, match="re must be a rectangular array"):
+        ComplexSpec([[0.0] * 33, [0.0] * 32], ok, 64, 64, 16)
+
+
 def test_complex_spec_shape_validation():
     with pytest.raises(ShapeError):
         ComplexSpec(np.zeros((4, 10)), np.zeros((4, 10)), 64, 64, 16)
@@ -341,3 +350,31 @@ def test_spectrum_surface_is_pinned():
     assert list(inspect.signature(stft).parameters) == ["x", "fft_len", "win_len", "hop"]
     assert list(inspect.signature(invertible).parameters) == ["win_len", "hop"]
     assert not hasattr(signal, "MagPhase") and not hasattr(lort, "MagPhase")
+
+
+def overlap_add_per_frame(frames, hop):
+    """Oracle of `signal._overlap_add`: one add per frame, frame order."""
+    t, n = frames.shape
+    out = np.zeros((t - 1) * hop + n)
+    for m in range(t):
+        out[m * hop : m * hop + n] += frames[m]
+    return out
+
+
+@pytest.mark.parametrize("t,n,hop", [(9, 64, 16), (9, 70, 16), (5, 33, 33), (1, 64, 16),
+                                     (1, 70, 16), (40, 510, 100), (7, 9, 2)])
+def test_overlap_add_matches_the_per_frame_loop_bitwise(t, n, hop):
+    frames = np.random.default_rng(t * n + hop).standard_normal((t, n)) * 1e3
+    got = signal._overlap_add(frames, hop)
+    assert got.tobytes() == overlap_add_per_frame(frames, hop).tobytes()
+    w = signal.hann_window(n)  # istft's denominator: broadcast window-square frames
+    den = np.broadcast_to(w * w, (t, n))
+    assert signal._overlap_add(den, hop).tobytes() == overlap_add_per_frame(den, hop).tobytes()
+
+
+def test_overlap_add_keeps_signed_zeros_of_the_per_frame_loop():
+    rng = np.random.default_rng(31)
+    frames = rng.choice([-0.0, 0.0, 1.5, -1.5], size=(12, 40))
+    frames[:, ::3] = -0.0
+    got = signal._overlap_add(frames, 16)
+    assert got.tobytes() == overlap_add_per_frame(frames, 16).tobytes()

@@ -80,6 +80,8 @@ def test_store_rejects_a_tensor_that_is_not_real():
                            match=f"weight 'w' must hold real numbers, got dtype {dtype}"):
             ws["w"] = value
     assert "w" not in ws
+    with pytest.raises(InvalidInputError, match="weight 'w' must be a rectangular array"):
+        ws["w"] = [[1.0], [1.0, 2.0]]
     x = np.ones(3)
     ws["w"] = x
     assert ws["w"] is x
