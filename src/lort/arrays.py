@@ -187,27 +187,32 @@ def _conv_flat(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
 def _conv_scatter(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                   spec: ConvSpec) -> np.ndarray:
     """Transposed conv: each tap's GEMM is added into a strided view of
-    the output, with no zero-stuffed input."""
+    the output, with no zero-stuffed input. A transposed view is read, and
+    its result built, on the (B, C, W, H) plane it lies in."""
     b_, cin, h, wid = x.shape
     cout, (kh, kw) = w.shape[1], spec.kernel
     sh, sw_ = spec.stride
     dh, dw = spec.dilation
     ph, pw = spec.padding
     ho, wo = conv_out_shape((h, wid), spec)
+    flip = _transposed_view(x)
     # taps reach (h-1)*sh + dh*(kh-1) + 1 rows; out_pad may reach past them
-    full = np.zeros(
-        (b_, cout, max((h - 1) * sh + dh * (kh - 1) + 1, ph + ho),
-         max((wid - 1) * sw_ + dw * (kw - 1) + 1, pw + wo)),
-        dtype=_acc_dtype(x, w, b),
-    )
+    rows = max((h - 1) * sh + dh * (kh - 1) + 1, ph + ho)
+    cols = max((wid - 1) * sw_ + dw * (kw - 1) + 1, pw + wo)
+    dtype = _acc_dtype(x, w, b)
+    if flip:
+        full = np.zeros((b_, cout, cols, rows), dtype=dtype).transpose(0, 1, 3, 2)
+    else:
+        full = np.zeros((b_, cout, rows, cols), dtype=dtype)
     taps = w.transpose(2, 3, 1, 0).reshape(kh * kw, cout, cin)
-    xf = np.ascontiguousarray(x).reshape(b_, cin, h * wid)
-    part = np.empty((b_, cout, h * wid), dtype=full.dtype)
+    xf = np.ascontiguousarray(x.transpose(0, 1, 3, 2) if flip else x).reshape(b_, cin, h * wid)
+    part = np.empty((b_, cout, h * wid), dtype=dtype)
+    part4 = _unflat(part, h, wid, flip)
     for k, tap in enumerate(taps):
         i, j = divmod(k, kw)
         np.matmul(tap, xf, out=part)
         full[:, :, i * dh : i * dh + (h - 1) * sh + 1 : sh,
-             j * dw : j * dw + (wid - 1) * sw_ + 1 : sw_] += part.reshape(b_, cout, h, wid)
+             j * dw : j * dw + (wid - 1) * sw_ + 1 : sw_] += part4
     out = full[:, :, ph : ph + ho, pw : pw + wo]
     if b is not None:
         out += b[:, None, None]
@@ -217,28 +222,49 @@ def _conv_scatter(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
 def _conv_strided(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                   spec: ConvSpec) -> np.ndarray:
     """Single-group strided correlation: one GEMM per kernel tap over that
-    tap's strided view of the padded input."""
+    tap's strided view of the padded input. A transposed view is padded,
+    gathered and multiplied on the (B, C, W, H) plane it lies in, and its
+    result is returned as a transposed view too."""
     b_, cin, h, wid = x.shape
     cout, (kh, kw) = w.shape[0], spec.kernel
     sh, sw_ = spec.stride
     dh, dw = spec.dilation
     ph, pw = spec.padding
     ho, wo = conv_out_shape((h, wid), spec)
-    xp = zero_pad(x, (ph, ph), (pw, pw)) if (ph or pw) else x
+    flip = _transposed_view(x)
+    xp = x
+    if flip and (ph or pw):
+        xp = zero_pad(x.transpose(0, 1, 3, 2), (pw, pw), (ph, ph)).transpose(0, 1, 3, 2)
+    elif ph or pw:
+        xp = zero_pad(x, (ph, ph), (pw, pw))
     taps = w.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin)
     acc = np.empty((b_, cout, ho * wo), dtype=_acc_dtype(x, w, b))
     part = np.empty_like(acc)
-    xs = np.empty((b_, cin, ho, wo), dtype=x.dtype)  # one tap's inputs, gathered
+    xs = np.empty((b_, cin, ho * wo), dtype=x.dtype)  # one tap's inputs, gathered
+    xs4 = _unflat(xs, ho, wo, flip)
     for k, tap in enumerate(taps):
         i, j = divmod(k, kw)
-        xs[...] = xp[:, :, i * dh : i * dh + (ho - 1) * sh + 1 : sh,
-                     j * dw : j * dw + (wo - 1) * sw_ + 1 : sw_]
-        np.matmul(tap, xs.reshape(b_, cin, ho * wo), out=part if k else acc)
+        xs4[...] = xp[:, :, i * dh : i * dh + (ho - 1) * sh + 1 : sh,
+                      j * dw : j * dw + (wo - 1) * sw_ + 1 : sw_]
+        np.matmul(tap, xs, out=part if k else acc)
         if k:
             acc += part
     if b is not None:
         acc += b[:, None]
-    return acc.reshape(b_, cout, ho, wo)
+    return _unflat(acc, ho, wo, flip)
+
+
+def _transposed_view(x: np.ndarray) -> bool:
+    """Whether x's H axis, not its W axis, has unit stride: a (B, C, H, W)
+    view of a (B, C, W, H) plane, as the transposed dense stacks return."""
+    return x.strides[2] == x.itemsize != x.strides[3]
+
+
+def _unflat(a: np.ndarray, h: int, w: int, flip: bool) -> np.ndarray:
+    """The (B, C, H, W) view of a (B, C, H*W) array, whose last axis runs
+    over (W, H) when `flip`."""
+    b, c = a.shape[:2]
+    return a.reshape(b, c, w, h).transpose(0, 1, 3, 2) if flip else a.reshape(b, c, h, w)
 
 
 def _check_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> int:

@@ -10,6 +10,7 @@ and the forward pass.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -18,7 +19,8 @@ import numpy as np
 
 from . import attention as att
 from .arrays import FlopMeter, lsigmoid, silu, zero_pad
-from .errors import InvalidParameterError, ShapeError, WeightLookupError, check_int
+from .errors import (InvalidInputError, InvalidParameterError, ShapeError, WeightLookupError,
+                     check_int)
 from .layers import Conv, DenseStack, Layer, Norm, Param, PRelu, init_store, zero_store
 from .local_refine import Lrc, lrc_block
 from .signal import (OLA_FLOOR, SAMPLE_RATE, ComplexSpec, Waveform, angle, check_stft_sizes,
@@ -127,6 +129,13 @@ class Encoder(Layer):
         return self.down_f(ws, self.dense(ws, x, stem=self.in_conv))
 
 
+# Cap on elements of one row block of the deformable embed's sampling.
+_EMBED_BLOCK_ELEMS = 1 << 15
+# Bound on a sampling offset's magnitude, in pixels: past it the sample
+# position's floor could not be cast to an int64 index.
+_MAX_OFFSET = 2.0 ** 62
+
+
 class Dsdcn(Layer):
     """Depthwise-separable convolution with learned bilinear sampling offsets.
 
@@ -147,44 +156,59 @@ class Dsdcn(Layer):
         b, c, t, f = x.shape
         k = self.K
         off = self.offset(ws, x).reshape(b, k * k, 2, t, f)
+        lo, hi = off.min(), off.max()  # a NaN anywhere makes both NaN
+        if not (-_MAX_OFFSET < lo and hi < _MAX_OFFSET):
+            raise InvalidInputError(
+                f"{self.offset.name} gives sampling offsets in [{lo}, {hi}]: each must be "
+                f"finite and below {_MAX_OFFSET:.0e} pixels in magnitude")
         w = ws[self.dw_w.name]
-        # one (B*T*F, C) plane of every item's channel vectors, a view of the
-        # channels-last map the encoder hands over; a sample at (i, t, f) is
-        # row i*T*F + t*F + f
-        plane = x.transpose(0, 2, 3, 1).reshape(b * t * f, c)
-        items = np.arange(b)[:, None, None] * (t * f)
+        bias = ws[self.dw_b.name][:, None]
+        # the map arrives channel-major; one contiguous copy makes it a
+        # (B*T*F, C) plane of channel vectors, so a sample at (i, t, f) is the
+        # one row i*T*F + t*F + f
+        plane = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(b * t * f, c)
+        # channel-major result: the pointwise conv reads one item without a copy
+        out = np.empty((c, b * t * f), dtype=np.result_type(x, w, bias))
+        # row blocks of whole time rows of one item; their accumulator, tap
+        # sum and gathered corner stay in cache across the taps
+        step = max(1, _EMBED_BLOCK_ELEMS // (f * c))
+        acc_buf = np.empty((min(step, t) * f, c), dtype=np.result_type(x, w))
+        tap_buf = np.empty_like(acc_buf)
+        corner_buf = np.empty_like(acc_buf)
         gt = np.arange(t, dtype=off.dtype)[:, None]
         gf = np.arange(f, dtype=off.dtype)
-        acc = np.zeros((b * t * f, c), dtype=np.result_type(x, w))
-        # every tap and corner reuses these two buffers (fresh temporaries
-        # raised the peak RSS of repeated 8 s forwards by ~5%); `row` is in
-        # range, so "clip" only spares `take` its buffered bounds check
-        tap = np.empty_like(acc)
-        corner = np.empty_like(acc)
-        for m in range(k * k):
-            a, cc = divmod(m, k)
-            pt = gt + (a - 1) + off[:, m, 0]
-            pf = gf + (cc - 1) + off[:, m, 1]
-            t0 = np.floor(pt).astype(np.int64)
-            f0 = np.floor(pf).astype(np.int64)
-            wt = pt - t0
-            wf = pf - f0
-            # per axis and corner side: the clipped row part and the weight,
-            # zero out of range; a corner's row and weight are their sums
-            # and products
-            rows_t, wts_t = _axis_taps(t0, wt, t)
-            rows_f, wts_f = _axis_taps(f0, wf, f)
-            rows_t = [items + r * f for r in rows_t]
-            tap.fill(0.0)
-            for rt, wtt in zip(rows_t, wts_t):
-                for rf, wtf in zip(rows_f, wts_f):
-                    np.take(plane, (rt + rf).ravel(), axis=0, out=corner, mode="clip")
-                    corner *= (wtt * wtf).reshape(-1, 1)
-                    tap += corner
-            tap *= w[:, 0, a, cc]
-            acc += tap
-        # channel-major result: the pointwise conv reads one item without a copy
-        out = np.add(acc.T, ws[self.dw_b.name][:, None], order="C")
+        for i, s0 in itertools.product(range(b), range(0, t, step)):
+            s1 = min(s0 + step, t)
+            n = (s1 - s0) * f
+            acc, tap, corner = acc_buf[:n], tap_buf[:n], corner_buf[:n]
+            acc.fill(0.0)
+            for m in range(k * k):
+                a, cc = divmod(m, k)
+                pt = gt[s0:s1] + (a - 1) + off[i, m, 0, s0:s1]
+                pf = gf + (cc - 1) + off[i, m, 1, s0:s1]
+                t0 = np.floor(pt).astype(np.int64)
+                f0 = np.floor(pf).astype(np.int64)
+                wt = pt - t0
+                wf = pf - f0
+                # per axis and corner side: the clipped row part and the
+                # weight, zero out of range; a corner's row and weight are
+                # their sums and products
+                rows_t, wts_t = _axis_taps(t0, wt, t)
+                rows_f, wts_f = _axis_taps(f0, wf, f)
+                rows_t = [i * t * f + r * f for r in rows_t]
+                # every row is clipped into range, so "clip" only spares
+                # `take` its buffered bounds check
+                tap.fill(0.0)
+                for rt, wtt in zip(rows_t, wts_t):
+                    for rf, wtf in zip(rows_f, wts_f):
+                        np.take(plane, (rt + rf).ravel(), axis=0, out=corner, mode="clip")
+                        corner *= (wtt * wtf).reshape(-1, 1)
+                        tap += corner
+                tap *= w[:, 0, a, cc]
+                acc += tap
+            r0 = (i * t + s0) * f
+            np.add(acc.T, bias, out=out[:, r0 : r0 + n])
+        del plane, off
         return self.pw(ws, out.reshape(c, b, t, f).transpose(1, 0, 2, 3))
 
 

@@ -98,8 +98,8 @@ class WeightStore:
                              "dtype": _DTYPE_TAG})
             blobs.append(raw)
             offset += len(raw)
-        header = json.dumps({"format": _FORMAT, "entries": manifest},
-                            indent=1).encode()
+        # no indent: an indented dump runs json's pure-Python encoder
+        header = json.dumps({"format": _FORMAT, "entries": manifest}).encode()
         return _MAGIC + len(header).to_bytes(8, "little") + header + b"".join(blobs)
 
     @classmethod

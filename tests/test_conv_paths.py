@@ -357,3 +357,60 @@ def test_fast_paths_build_no_window_view(monkeypatch):
     with pytest.raises(AssertionError, match="input copied"):
         conv2d(x, rng.standard_normal((3, 4, 3, 3)), None, ConvSpec(kernel=(3, 3), padding=(1, 1)))
 
+
+
+def transposed_view(x, border=(2, 3)):
+    """x's values as a (B, C, H, W) view of a zero-bordered (B, C, W, H)
+    plane, as the transposed dense stacks hand their output over."""
+    b, c, h, w = x.shape
+    bw, bh = border
+    buf = np.zeros((b, c, w + 2 * bw, h + 2 * bh))
+    buf[:, :, bw : bw + w, bh : bh + h] = x.transpose(0, 1, 3, 2)
+    view = buf[:, :, bw : bw + w, bh : bh + h].transpose(0, 1, 3, 2)
+    assert arrays._transposed_view(view)
+    return view
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_transposed_views_match_reference_and_the_contiguous_input(seed):
+    """Strided and transposed convs run on the plane a transposed view lies
+    in. With two or more output channels each output is the same GEMM dot
+    product as for the contiguous input, bit for bit; with one, numpy's
+    matmul is a vector product whose BLAS kernel may sum a column in an
+    order set by its position, so only the oracle's tolerance holds."""
+    rng = np.random.default_rng(400 + seed)
+    for _ in range(25):
+        for transposed in (False, True):
+            x, w, b, spec = random_case(rng, transposed=transposed)
+            view = transposed_view(x)
+            assert_matches_reference(view, w, b, spec)
+            if w.shape[1 if transposed else 0] > 1:
+                assert np.array_equal(conv2d(view, w, b, spec), conv2d(x, w, b, spec)), spec
+
+
+def test_resampling_convs_make_no_transposing_copy_of_a_transposed_view(monkeypatch):
+    """The encoder's `down_f` and the decoders' `up_f` read a transposed
+    view on its own plane and return their result as a transposed view;
+    any copy they make of the input keeps its unit-stride axis."""
+    rng = np.random.default_rng(19)
+    cases = []
+    for spec in (ConvSpec(kernel=(1, 3), stride=(1, 2), padding=(0, 1)),
+                 ConvSpec(kernel=(1, 3), stride=(1, 2), padding=(0, 1), out_pad=(0, 1),
+                          transposed=True)):
+        for bsz in (1, 2):
+            x = rng.standard_normal((bsz, 16, 21, 12))
+            w, b = rng.standard_normal((16, 16, 1, 3)), rng.standard_normal(16)
+            cases.append((transposed_view(x), w, b, spec, conv2d(x, w, b, spec)))
+
+    def row_copy(copy):
+        def checked(x, *args, **kwargs):
+            assert x.strides[-1] == x.itemsize, "transposing copy"
+            return copy(x, *args, **kwargs)
+        return checked
+
+    monkeypatch.setattr(arrays, "zero_pad", row_copy(arrays.zero_pad))
+    monkeypatch.setattr(np, "ascontiguousarray", row_copy(np.ascontiguousarray))
+    for view, w, b, spec, want in cases:
+        out = conv2d(view, w, b, spec)
+        assert arrays._transposed_view(out)
+        assert np.array_equal(out, want)

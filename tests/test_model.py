@@ -6,6 +6,8 @@ import inspect
 import math
 import pathlib
 import pkgutil
+import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -30,6 +32,7 @@ from lort.model import (
     zero_weights,
 )
 import lort
+import lort.model as model_module
 from lort import attention, local_refine
 from lort.attention import AttentionInput
 from lort.local_refine import Dlc, Lrc
@@ -383,6 +386,103 @@ def test_dsdcn_batch_matches_a_per_pixel_bilinear_oracle():
     want, outside = bilinear_dsdcn_oracle(ws, x, off)
     assert 0 < outside < 2 * c * 6 * 5 * 9
     npt.assert_allclose(layer(ws, x), want, rtol=1e-12, atol=1e-14)
+
+
+def full_map_dsdcn(layer, ws, x):
+    """The deformable embed in one pass over full maps: each tap's indices,
+    weights and gathered corners span every row of a (B*T*F, C) plane.
+    The row-blocked `Dsdcn` must match it bit for bit."""
+    b, c, t, f = x.shape
+    k = layer.K
+    off = layer.offset(ws, x).reshape(b, k * k, 2, t, f)
+    w = ws[layer.dw_w.name]
+    plane = x.transpose(0, 2, 3, 1).reshape(b * t * f, c)
+    items = np.arange(b)[:, None, None] * (t * f)
+    gt = np.arange(t, dtype=off.dtype)[:, None]
+    gf = np.arange(f, dtype=off.dtype)
+    acc = np.zeros((b * t * f, c), dtype=np.result_type(x, w))
+    for m in range(k * k):
+        a, cc = divmod(m, k)
+        pt = gt + (a - 1) + off[:, m, 0]
+        pf = gf + (cc - 1) + off[:, m, 1]
+        t0 = np.floor(pt).astype(np.int64)
+        f0 = np.floor(pf).astype(np.int64)
+        rows_t, wts_t = model_module._axis_taps(t0, pt - t0, t)
+        rows_f, wts_f = model_module._axis_taps(f0, pf - f0, f)
+        tap = np.zeros_like(acc)
+        for rt, wtt in zip(rows_t, wts_t):
+            for rf, wtf in zip(rows_f, wts_f):
+                corner = np.take(plane, (items + rt * f + rf).ravel(), axis=0)
+                corner *= (wtt * wtf).reshape(-1, 1)
+                tap += corner
+        tap *= w[:, 0, a, cc]
+        acc += tap
+    out = np.add(acc.T, ws[layer.dw_b.name][:, None], order="C")
+    return layer.pw(ws, out.reshape(c, b, t, f).transpose(1, 0, 2, 3))
+
+
+def shifted_embed(c, seed):
+    """A Dsdcn and its weights, with offsets of up to a few pixels, so many
+    samples fall outside the plane."""
+    layer = Dsdcn("embed", c)
+    ws = init_store(layer.manifest(), seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    ws["embed.offset.w"] = 0.5 * rng.standard_normal(ws["embed.offset.w"].shape)
+    ws["embed.offset.b"] = rng.uniform(-2.5, 2.5, ws["embed.offset.b"].shape)
+    return layer, ws
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape, cap", [
+    ((2, 3, 23, 7), 4 * 7 * 3),     # 6 blocks of 4 time rows per item, the last of 3
+    ((1, 16, 50, 128), None),       # the module's cap: 3 blocks of 16 rows, then 2 rows
+])
+def test_dsdcn_row_blocks_match_the_full_map_pass_bit_for_bit(monkeypatch, dtype, shape, cap):
+    b, c, t, f = shape
+    if cap is not None:
+        monkeypatch.setattr(model_module, "_EMBED_BLOCK_ELEMS", cap)
+    step = model_module._EMBED_BLOCK_ELEMS // (f * c)
+    assert -(-t // step) >= 3 and t % step
+    layer, ws = shifted_embed(c, seed=23)
+    ws = {name: arr.astype(dtype) for name, arr in ws.items()}
+    x = np.random.default_rng(24).standard_normal(shape).astype(dtype)
+    off = layer.offset(ws, x)
+    assert (np.abs(off) > 1).mean() > 0.3
+    got = layer(ws, x)
+    assert got.dtype == dtype
+    assert got.tobytes() == full_map_dsdcn(layer, ws, x).tobytes()
+
+
+def test_dsdcn_peaks_under_four_maps_beyond_its_input():
+    layer, ws = shifted_embed(16, seed=25)
+    x = np.random.default_rng(26).standard_normal((1, 16, 321, 128))
+    tracemalloc.start()
+    try:
+        layer(ws, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * x.nbytes, peak / x.nbytes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e30])
+def test_dsdcn_rejects_an_offset_it_cannot_sample_at(bad):
+    layer, ws = shifted_embed(3, seed=27)
+    ws["embed.offset.b"][4] = bad
+    x = np.random.default_rng(28).standard_normal((1, 3, 6, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=r"^embed\.offset gives sampling offsets"):
+            layer(ws, x)
+
+
+def test_forward_names_the_embed_offset_when_it_turns_nan():
+    ws = init_weights(MICRO, seed=29)
+    ws["embed.offset.b"] = np.full(ws["embed.offset.b"].shape, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=r"embed\.offset .* must be finite"):
+            forward(noise(4000), ws, MICRO)
 
 
 def test_lrtt_batch_equals_the_items_stacked():

@@ -40,6 +40,21 @@ def test_bytes_roundtrip_preserves_order_shapes_values():
         npt.assert_allclose(back[name], arr, atol=1e-6)  # float32 storage
 
 
+def test_indented_manifest_of_older_files_still_loads():
+    """Files once wrote their manifest with `indent=1`; the reader takes
+    any JSON whitespace, so they load to the same tensors."""
+    data = make_store().to_bytes()
+    hlen = int.from_bytes(data[8:16], "little")
+    header = data[16 : 16 + hlen]
+    assert b"\n" not in header
+    indented = json.dumps(json.loads(header), indent=1).encode()
+    old = data[:8] + len(indented).to_bytes(8, "little") + indented + data[16 + hlen :]
+    back, want = WeightStore.from_bytes(old), WeightStore.from_bytes(data)
+    assert list(back.keys()) == list(want.keys())
+    for name in want:
+        assert back[name].tobytes() == want[name].tobytes()
+
+
 def test_save_load_roundtrip(tmp_path):
     ws = make_store()
     path = tmp_path / "w.bin"
