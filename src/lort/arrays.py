@@ -329,40 +329,30 @@ def conv_out_shape(in_shape: tuple[int, int], spec: ConvSpec) -> tuple[int, int]
 # ---------------------------------------------------------------------------
 # Normalization
 
-def _bcast(p: np.ndarray, ndim: int) -> np.ndarray:
-    """Reshape a per-channel (C,) parameter for (B, C, ...) broadcasting."""
-    p = np.asarray(p)
-    if p.ndim == 1 and ndim > 2:
-        return p.reshape((1, -1) + (1,) * (ndim - 2))
-    return p
+NORM_EPS = 1e-5  # added to each variance
+# per norm kind: the einsum of the squared deviations' sums, and its axes
+_NORM_SUMS = {"layer": ("abcd,abcd->a", (1, 2, 3)), "instance": ("abcd,abcd->ab", (2, 3))}
 
 
-def normalize(x: np.ndarray, kind: str, gain, shift, eps: float = 1e-5,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Layer norm (over all non-batch axes) or instance norm (over T, F).
+def normalize(x: np.ndarray, kind: str, gain, shift, out: np.ndarray | None = None) -> np.ndarray:
+    """Layer norm (over C, T, F) or instance norm (over T, F) of a
+    (B, C, T, F) map, with the (C,) `gain` and `shift`.
 
     The result goes to `out` when given (any view of x's shape, x itself
     included), else to a new array.
     """
-    if not eps > 0:  # NaN fails this too
-        raise InvalidParameterError(f"eps must be positive, got {eps}")
-    if kind == "layer":
-        axes = tuple(range(1, x.ndim))
-    elif kind == "instance":
-        if x.ndim != 4:
-            raise ShapeError(f"instance norm expects (B, C, T, F), got shape {x.shape}")
-        axes = (2, 3)
-    else:
+    if kind not in _NORM_SUMS:
         raise InvalidParameterError(f"unknown normalization kind {kind!r}")
+    if x.ndim != 4:
+        raise ShapeError(f"normalize expects a (B, C, T, F) map, got shape {x.shape}")
+    subscripts, axes = _NORM_SUMS[kind]
     mean = x.mean(axis=axes, keepdims=True)
     # one centring pass serves both moments; einsum sums the squares
     # without a squared temporary
     d = np.subtract(x, mean, out=out)
-    idx = "abcdefghijklmnopqrstuvwxyz"[: x.ndim]
-    kept = "".join(idx[i] for i in range(x.ndim) if i not in axes)
-    var = np.einsum(f"{idx},{idx}->{kept}", d, d).reshape(mean.shape) / (x.size // mean.size)
-    d *= _bcast(gain, x.ndim) / np.sqrt(var + eps)
-    d += _bcast(shift, x.ndim)
+    var = np.einsum(subscripts, d, d).reshape(mean.shape) / (x.size // mean.size)
+    d *= np.reshape(gain, (-1, 1, 1)) / np.sqrt(var + NORM_EPS)
+    d += np.reshape(shift, (-1, 1, 1))
     return d
 
 
@@ -389,10 +379,12 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 def prelu(x: np.ndarray, a, out: np.ndarray | None = None) -> np.ndarray:
-    """x for x >= 0, a*x otherwise; `a` scalar or per-channel. The result
-    goes to `out` when given (x itself included), else to a new array; an
-    `out` that shares no memory with x takes no temporary."""
-    a = _bcast(np.asarray(a, dtype=x.dtype), x.ndim)
+    """x for x >= 0, a*x otherwise, on a (B, C, T, F) map with (C,) slopes.
+    The result goes to `out` when given (x itself included), else to a new
+    array; an `out` that shares no memory with x takes no temporary."""
+    if x.ndim != 4:
+        raise ShapeError(f"prelu expects a (B, C, T, F) map, got shape {x.shape}")
+    a = np.asarray(a, dtype=x.dtype).reshape(-1, 1, 1)
     if np.all((a > 0) & (a <= 1)):
         # for 0 < a <= 1 the larger of x and a*x is the select, bit for bit
         # (signed zeros, infinities and NaN included), and runs ≈4x faster

@@ -3,11 +3,11 @@
 Each layer object declares its parameters (`manifest()` yields
 `(name, shape, init kind)` under a dotted name) and applies them
 (`layer(ws, x)` reads exactly those names from a WeightStore), so every
-parameter's name, shape and use are stated in one place. The leaves
-`Conv`, `Norm`, `PRelu` and `Param` (a tensor a layer reads itself) state
-their tensors; a composite's manifest is the walk of the layers it holds,
-in attribute assignment order. `init_store` fills any weight set from a
-manifest.
+parameter's name, shape and use are stated in one place. Only a `Param`
+states a tensor: `Conv`, `Norm` and `PRelu` hold Params and read
+`ws[p.name]` like any other layer, and every manifest is the walk of the
+Params a layer holds, in attribute assignment order. `init_store` fills
+any weight set from a manifest.
 """
 from __future__ import annotations
 
@@ -25,31 +25,34 @@ INIT_STD = 0.02
 
 
 class Layer:
-    """A node of the layer tree: its manifest is the manifests of the layers
-    it holds (attributes that are layers, or lists and tuples of them at any
-    depth), in attribute assignment order; other attributes are skipped."""
+    """A node of the layer tree: its manifest is the entries of the Params
+    it holds, directly or in held layers and in lists and tuples of them at
+    any depth, in attribute assignment order; other attributes are skipped."""
 
     def manifest(self):
-        for value in vars(self).values():
+        return _manifest(vars(self).values())
+
+
+def _manifest(values):
+    # a Param's entry is yielded in place: a generator per Param slows every set-up
+    for value in values:
+        if isinstance(value, Param):
+            yield value.name, value.shape, value.init
+        elif isinstance(value, Layer):
+            yield from value.manifest()
+        elif isinstance(value, (list, tuple)):
             yield from _manifest(value)
 
 
-def _manifest(value):
-    if isinstance(value, Layer):
-        yield from value.manifest()
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _manifest(item)
-
-
 class Param(Layer):
-    """One tensor that its holder reads from the store itself, as `ws[p.name]`."""
+    """The one declaration of a tensor: its name, shape and init kind. Its
+    holder reads it from the store itself, as `ws[p.name]`."""
 
     def __init__(self, name, shape, init):
         self.name, self.shape, self.init = name, shape, init
 
     def manifest(self):
-        yield (self.name, self.shape, self.init)
+        return _manifest((self,))
 
 
 class Conv(Layer):
@@ -57,48 +60,34 @@ class Conv(Layer):
                  groups=1, padding=None, transposed=False, out_pad=(0, 0), init="gauss"):
         if padding is None:
             padding = same_pad(kernel, dilation)
-        self.name = name
-        self.cin, self.cout, self.groups = cin, cout, groups
-        self.init = init
+        self.name, self.cin = name, cin
         self.spec = ConvSpec(kernel=kernel, stride=stride, dilation=dilation,
                              groups=groups, padding=padding, transposed=transposed,
                              out_pad=out_pad)
-
-    def manifest(self):
-        k = self.spec.kernel
-        if self.spec.transposed:
-            wshape = (self.cin, self.cout, *k)
-        else:
-            wshape = (self.cout, self.cin // self.groups, *k)
-        yield (f"{self.name}.w", wshape, self.init)
-        yield (f"{self.name}.b", (self.cout,), "zeros")
+        wshape = (cin, cout, *kernel) if transposed else (cout, cin // groups, *kernel)
+        self.w = Param(f"{name}.w", wshape, init)
+        self.b = Param(f"{name}.b", (cout,), "zeros")
 
     def __call__(self, ws, x):
-        return conv2d(x, ws[f"{self.name}.w"], ws[f"{self.name}.b"], self.spec)
+        return conv2d(x, ws[self.w.name], ws[self.b.name], self.spec)
 
 
 class Norm(Layer):
     def __init__(self, name, channels, kind):
-        self.name, self.channels, self.kind = name, channels, kind
-
-    def manifest(self):
-        yield (f"{self.name}.gain", (self.channels,), "ones")
-        yield (f"{self.name}.shift", (self.channels,), "zeros")
+        self.kind = kind
+        self.gain = Param(f"{name}.gain", (channels,), "ones")
+        self.shift = Param(f"{name}.shift", (channels,), "zeros")
 
     def __call__(self, ws, x, out=None):
-        return normalize(x, self.kind, ws[f"{self.name}.gain"], ws[f"{self.name}.shift"],
-                         out=out)
+        return normalize(x, self.kind, ws[self.gain.name], ws[self.shift.name], out=out)
 
 
 class PRelu(Layer):
     def __init__(self, name, channels):
-        self.name, self.channels = name, channels
-
-    def manifest(self):
-        yield (f"{self.name}.a", (self.channels,), "prelu")
+        self.a = Param(f"{name}.a", (channels,), "prelu")
 
     def __call__(self, ws, x, out=None):
-        return prelu(x, ws[f"{self.name}.a"], out=out)
+        return prelu(x, ws[self.a.name], out=out)
 
 
 class DenseStack(Layer):
@@ -164,7 +153,7 @@ class DenseStack(Layer):
         if flip:
             x = x.transpose(0, 1, 3, 2)
             h, w, bh, bw = w, h, bw, bh
-        dtype = np.result_type(x, ws[f"{self.layers[0][0].name}.w"])
+        dtype = np.result_type(x, ws[self.layers[0][0].w.name])
         buf = np.zeros((b, cins[-1], h + 2 * bh, w + 2 * bw), dtype=dtype)
         maps = buf[:, :, bh : bh + h, bw : bw + w]
         maps[:, :c] = x
@@ -184,10 +173,10 @@ class DenseStack(Layer):
         h, w = buf.shape[2] - 2 * bh, buf.shape[3] - 2 * bw
         conv = self.layers[j][0]
         view = buf[:, : self._cins[j], bh - ph : bh + h + ph, bw - pw : bw + w + pw]
-        weight = ws[f"{conv.name}.w"]
+        weight = ws[conv.w.name]
         if flip:
             weight = weight.transpose(0, 1, 3, 2)
-        return conv2d(view, weight, ws[f"{conv.name}.b"], specs[j])
+        return conv2d(view, weight, ws[conv.b.name], specs[j])
 
 
 def _tail(ws, subs, z, out=None):

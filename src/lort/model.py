@@ -335,6 +335,8 @@ class LortModel(Layer):
         return h + skip
 
     def forward(self, noisy: Waveform, ws: WeightStore) -> ForwardResult:
+        if not isinstance(ws, WeightStore):
+            raise WeightLookupError(f"ws must be a WeightStore, got {type(ws).__name__}")
         shapes = self.shapes
         missing = ws.missing(shapes)
         if missing:

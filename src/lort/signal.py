@@ -93,6 +93,10 @@ class ComplexSpec:
 
 def read_wav(data: bytes) -> Waveform:
     """Parse a RIFF/WAVE PCM16 mono byte stream into a Waveform."""
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise WavParseError(
+            f"read_wav expects bytes, bytearray or memoryview, got {type(data).__name__}")
+    data = bytes(data)  # a view's fields then print as bytes, and it counts bytes, not items
     if len(data) < 12 or data[:4] != b"RIFF":
         raise WavParseError("missing RIFF magic in chunk id")
     if data[8:12] != b"WAVE":
@@ -235,8 +239,13 @@ def invertible(win_len: int, hop: int) -> bool:
 
 
 def istft(spec: ComplexSpec, out_len: int) -> Waveform:
-    """Weighted overlap-add inverse with window-square normalization."""
+    """Weighted overlap-add inverse with window-square normalization, `out_len`
+    samples long: at most the longest signal whose `stft` has `spec.frames` frames."""
     check_int("out_len", out_len, 0, InvalidInputError)
+    longest = spec.frames * spec.hop + spec.win_len - 2 * (spec.win_len // 2) - 1
+    if out_len > longest:
+        raise InvalidInputError(f"out_len {out_len} exceeds {longest}, the longest signal "
+                                f"whose stft has {spec.frames} frames")
     w = hann_window(spec.win_len)
     frames = np.fft.irfft(spec.re + 1j * spec.im, n=spec.fft_len, axis=1)[:, : spec.win_len]
     frames = frames * w

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import WeightFormatError, WeightLookupError, as_float64, check_int
+from .errors import InvalidInputError, WeightFormatError, WeightLookupError, as_float64, check_int
 
 __all__ = ["WeightStore"]
 
@@ -62,6 +62,8 @@ class WeightStore:
             raise WeightLookupError(f"missing parameter {name!r}") from None
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
+        if not isinstance(name, str):
+            raise InvalidInputError(f"weight name must be a str, got {name!r}")
         self._entries[name] = as_float64(f"weight {name!r}", value)
 
     def __contains__(self, name: str) -> bool:
@@ -92,12 +94,17 @@ class WeightStore:
         manifest = []
         offset = 0
         blobs = []
-        for name, arr in self._entries.items():
-            raw = arr.astype("<f4").tobytes()
-            manifest.append({"name": name, "shape": list(arr.shape), "offset": offset,
-                             "dtype": _DTYPE_TAG})
-            blobs.append(raw)
-            offset += len(raw)
+        with np.errstate(over="raise"):  # on a finite value cast to ±inf, not on NaN or ±inf
+            for name, arr in self._entries.items():
+                try:
+                    raw = arr.astype("<f4").tobytes()
+                except FloatingPointError:
+                    raise WeightFormatError(f"weight {name!r} holds a finite value beyond "
+                                            f"float32's range") from None
+                manifest.append({"name": name, "shape": list(arr.shape), "offset": offset,
+                                 "dtype": _DTYPE_TAG})
+                blobs.append(raw)
+                offset += len(raw)
         # no indent: an indented dump runs json's pure-Python encoder
         header = json.dumps({"format": _FORMAT, "entries": manifest}).encode()
         return _MAGIC + len(header).to_bytes(8, "little") + header + b"".join(blobs)

@@ -141,28 +141,30 @@ def test_same_pad_preserves_extent():
 
 
 def test_normalize_layer_and_instance_statistics():
+    # the normalized variance is v / (v + NORM_EPS) exactly, v the input's
     rng = np.random.default_rng(7)
     x = rng.standard_normal((2, 3, 5, 6)) * 4 + 2
-    y = normalize(x, "layer", np.ones(3), np.zeros(3), eps=1e-12)
+    y = normalize(x, "layer", np.ones(3), np.zeros(3))
     for n in range(2):
+        v = x[n].var()
         npt.assert_allclose(y[n].mean(), 0.0, atol=1e-10)
-        npt.assert_allclose(y[n].var(), 1.0, atol=1e-8)
-    z = normalize(x, "instance", np.ones(3), np.zeros(3), eps=1e-12)
+        npt.assert_allclose(y[n].var(), v / (v + 1e-5), atol=1e-8)
+    z = normalize(x, "instance", np.ones(3), np.zeros(3))
+    v = x.var(axis=(2, 3))
     npt.assert_allclose(z.mean(axis=(2, 3)), 0.0, atol=1e-10)
-    npt.assert_allclose(z.var(axis=(2, 3)), 1.0, atol=1e-8)
+    npt.assert_allclose(z.var(axis=(2, 3)), v / (v + 1e-5), atol=1e-8)
 
 
 def test_normalize_gain_shift_and_errors():
     x = np.random.default_rng(1).standard_normal((1, 2, 4, 4))
-    y = normalize(x, "instance", np.array([2.0, 3.0]), np.array([1.0, -1.0]), eps=1e-12)
+    y = normalize(x, "instance", np.array([2.0, 3.0]), np.array([1.0, -1.0]))
+    v = x[:, 1].var()
     npt.assert_allclose(y[:, 0].mean(), 1.0, atol=1e-9)
-    npt.assert_allclose(y[:, 1].std(), 3.0, atol=1e-6)
+    npt.assert_allclose(y[:, 1].std(), 3.0 * np.sqrt(v / (v + 1e-5)), atol=1e-6)
     with pytest.raises(InvalidParameterError):
         normalize(x, "batch", 1.0, 0.0)
-    with pytest.raises(InvalidParameterError):
-        normalize(x, "layer", 1.0, 0.0, eps=0.0)
-    with pytest.raises(InvalidParameterError, match="eps must be positive, got nan"):
-        normalize(x, "instance", 1.0, 0.0, eps=float("nan"))
+    with pytest.raises(ShapeError, match="normalize expects a"):
+        normalize(x[0], "layer", np.ones(4), np.zeros(4))
 
 
 def test_normalize_matches_two_pass_formula():
@@ -282,6 +284,8 @@ def test_activations():
     npt.assert_allclose(prelu(np.array([[-4.0], [2.0]]).reshape(1, 1, 2, 1), a),
                         np.array([-1.0, 2.0]).reshape(1, 1, 2, 1))
     assert np.isfinite(sigmoid(np.array([1e6, -1e6]))).all()
+    with pytest.raises(ShapeError, match="prelu expects a"):
+        prelu(np.array([-4.0, 2.0]), a)
 
 
 SIGMOID_EDGES = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,

@@ -140,6 +140,67 @@ def test_every_export_resolves():
     assert not read & set(GATE_ONLY_EXPORTS), "an allowlisted export has gained a caller"
 
 
+def _program_paths():
+    """The sources of src/lort, and every program that runs it: perfbench
+    and the acceptance gates."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src = sorted((root / "src" / "lort").glob("*.py"))
+    return src, [*src, *(root / "perfbench").glob("*.py"), root / "tests" / "test_acceptance.py"]
+
+
+def _keyword_defaults(modules):
+    """(qualified name, call name, positional index, parameter) of every
+    keyword default of a public function or method (a constructor's are
+    the class's) in the parsed `modules`; the index is None for a
+    keyword-only parameter."""
+    for module in modules:
+        for node in module.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield from _defaults_of(node.name, node.name, node.args, 0)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for fn in node.body:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    call = node.name if fn.name == "__init__" else fn.name
+                    if call.startswith("_"):
+                        continue
+                    skip = 0 if "staticmethod" in _decorator_names(fn) else 1
+                    yield from _defaults_of(f"{node.name}.{fn.name}", call, fn.args, skip)
+
+
+def _defaults_of(qualname, call, args, skip):
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield qualname, call, i - skip, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield qualname, call, None, arg.arg
+
+
+def _sets(call, index, param):
+    """Whether `call` sets the parameter `param` at positional `index`."""
+    if any(kw.arg in (param, None) for kw in call.keywords):  # None: a ** spread
+        return True
+    return index is not None and (len(call.args) > index
+                                  or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_keyword_default_is_set_by_some_program():
+    # a default no program overrides is a constant dressed as an option
+    src, programs = _program_paths()
+    calls = {}
+    for node in _walk(programs):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            calls.setdefault(name, []).append(node)
+    defaults = list(_keyword_defaults(ast.parse(path.read_text()) for path in src))
+    unset = [f"{qualname}({param}=)" for qualname, call, index, param in defaults
+             if not any(_sets(c, index, param) for c in calls.get(call, ()))]
+    assert not unset, f"no program sets the keyword defaults {unset}"
+    assert len(defaults) >= 20
+
+
 # dataclasses some method reads whole, so no attribute load names each field
 WHOLE_READ_CLASSES = {"LossReport": "to_line prints every field"}
 
@@ -173,9 +234,7 @@ def _stored_values(nodes):
 def test_every_stored_value_is_read():
     # a field or property that only tests read is kept for no program; the
     # acceptance gates count as programs
-    root = pathlib.Path(__file__).resolve().parents[1]
-    src = sorted((root / "src" / "lort").glob("*.py"))
-    programs = [*src, *(root / "perfbench").glob("*.py"), root / "tests" / "test_acceptance.py"]
+    src, programs = _program_paths()
     read = {node.attr for node in _walk(programs)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     values = list(_stored_values(_walk(src)))
@@ -286,6 +345,16 @@ def test_forward_builds_one_model_per_config_and_checks_every_store(monkeypatch)
     with pytest.raises(WeightLookupError, match=r"missing \['block0\.ln1\.gain'\]"):
         forward(noise(2000), partial, MICRO)
     assert built == [MICRO]
+
+
+def test_forward_names_a_ws_that_is_no_weight_store():
+    ws = init_weights(MICRO)
+    for bad in (dict(ws.items()), None):
+        msg = f"ws must be a WeightStore, got {type(bad).__name__}"
+        with pytest.raises(WeightLookupError, match=msg):
+            forward(noise(2000), bad, MICRO)
+        with pytest.raises(WeightLookupError, match=msg):
+            build_model(MICRO).forward(noise(2000), bad)
 
 
 def test_forward_rejects_tensors_no_layer_declares():

@@ -73,6 +73,17 @@ def test_wav_parse_errors_name_the_field():
         read_wav(good[:-10])
 
 
+def test_read_wav_names_an_argument_that_is_no_byte_string():
+    good = write_wav(make_noise(100))
+    for data in (good, bytearray(good), memoryview(good), memoryview(good).cast("H")):
+        assert len(read_wav(data)) == 100
+    with pytest.raises(WavParseError, match=r"form type is b'AIFF'"):
+        read_wav(memoryview(good[:8] + b"AIFF" + good[12:]))
+    for data, kind in ((None, "NoneType"), ("RIFF", "str"), (list(good), "list")):
+        with pytest.raises(WavParseError, match=f"bytes, bytearray or memoryview, got {kind}"):
+            read_wav(data)
+
+
 def riff(*chunks: bytes) -> bytes:
     body = b"WAVE" + b"".join(chunks)
     return b"RIFF" + len(body).to_bytes(4, "little") + body
@@ -276,6 +287,19 @@ def test_istft_rejects_an_output_length_that_is_no_count():
         with pytest.raises(InvalidInputError, match=r"out_len must be an int >= 0"):
             istft(spec, out_len)
     assert len(istft(spec, 0)) == 0  # consistency_project asks for (frames - 1) * hop
+
+
+@pytest.mark.parametrize("n,fft_len,win_len,hop", [(1000, 64, 64, 16), (777, 40, 33, 10),
+                                                   (50, 8, 7, 3)])
+def test_istft_output_is_at_most_the_longest_signal_of_its_frame_count(n, fft_len, win_len, hop):
+    spec = stft(make_noise(n), fft_len, win_len, hop)
+    longest = spec.frames * hop + win_len - 2 * (win_len // 2) - 1
+    assert stft(make_noise(longest), fft_len, win_len, hop).frames == spec.frames
+    assert stft(make_noise(longest + 1), fft_len, win_len, hop).frames == spec.frames + 1
+    assert len(istft(spec, longest)) == longest
+    for out_len in (longest + 1, 10**12):
+        with pytest.raises(InvalidInputError, match=f"out_len {out_len} exceeds {longest}"):
+            istft(spec, out_len)
 
 
 def test_hann_window_is_periodic():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -86,6 +87,28 @@ def test_values_stored_as_float64():
     ws = WeightStore()
     ws["x"] = np.array([1, 2, 3], dtype=np.int32)
     assert ws["x"].dtype == np.float64
+
+
+def test_store_rejects_a_name_that_is_not_a_string():
+    ws = WeightStore()
+    for name in (3, ("a", "b"), None):
+        with pytest.raises(InvalidInputError, match=re.escape(f"weight name must be a str, got {name!r}")):
+            ws[name] = np.zeros(2)
+    assert len(ws) == 0
+
+
+@pytest.mark.parametrize("big", [1e39, -1e39, np.finfo(np.float64).max])
+def test_writer_refuses_a_finite_value_float32_cannot_hold(big):
+    ws = WeightStore()
+    ws["ok"] = np.ones(2)
+    ws["big"] = np.array([0.0, big])
+    with pytest.raises(WeightFormatError, match="weight 'big' holds a finite value beyond"):
+        ws.to_bytes()
+    # the largest float32 and the non-finite values are written as they are
+    ws["big"] = np.array([np.finfo(np.float32).max, np.nan, np.inf, -np.inf])
+    data = ws.to_bytes()
+    with pytest.raises(WeightFormatError, match=r"entry 1 \('big'\): values are not all finite"):
+        WeightStore.from_bytes(data)
 
 
 def test_store_rejects_a_tensor_that_is_not_real():
