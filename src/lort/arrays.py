@@ -6,6 +6,7 @@ set only at the boundary, by `Waveform`, `ComplexSpec` and `WeightStore`.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,14 @@ __all__ = [
 
 # Cap on elements of one per-tap product in the flat-plane conv path.
 _TAP_ELEMS = 1 << 18
+# Caps on elements of the row-blocked conv path's input row block, and of
+# the product of the row GEMMs it adds into the output tap by tap.
+_ROW_BLOCK_ELEMS = 1 << 18
+_ROW_PRODUCT_ELEMS = 1 << 16
+# Dense multi-tap convs with at least this many Cout·Cin weight pairs per
+# tap run row-blocked; narrower ones (every micro_config() conv) run on the
+# flat plane, where the row copy would cost more than it saves.
+_ROW_MIN_PAIRS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +139,18 @@ def _conv_flat(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
     With the padded input read as a flat (B, Cin, rows*pitch) plane, where
     `pitch` is the element stride between its rows, the window of tap (i, j)
     for every output position is the one contiguous slice starting at
-    i*dh*pitch + j*dw, so each tap is a single GEMM (dense) or broadcast
-    multiply (depthwise, w of shape (C, 1, kh, kw)) into a (B, Cout,
-    Ho*pitch) accumulator whose pitch - Wo extra columns are cropped at the
-    end. At padding 0 an input with unit-stride rows, such as a window of a
-    larger zero-bordered buffer, is read in place at that buffer's pitch;
-    otherwise the one padded (or contiguous) copy is made.
+    i*dh*pitch + j*dw, so each tap is a single GEMM (dense), or per
+    channel a scalar multiply (depthwise, w of shape (C, 1, kh, kw)), into
+    a (B, Cout, Ho*pitch) accumulator whose pitch - Wo extra columns are
+    cropped at the end. At padding 0 an input with unit-stride rows, such
+    as a window of a larger zero-bordered buffer, is read in place at that
+    buffer's pitch; otherwise the one padded (or contiguous) copy is made.
     """
     kh, kw = w.shape[2:]
-    if kh == 1 < kw:
+    if kh == 1 < kw or kh == kw == 1 and _transposed_view(x):
         # A kernel along W only runs on the transposed plane, where the
-        # flat layout computes no pad columns.
+        # flat layout computes no pad columns, and a 1x1 conv on the plane
+        # a transposed view lies in, which it then reads without a copy.
         out = _conv_flat(x.transpose(0, 1, 3, 2), w.transpose(0, 1, 3, 2), b,
                          dilation[::-1], padding[::-1])
         return out.transpose(0, 1, 3, 2)
@@ -158,15 +168,22 @@ def _conv_flat(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
     cout = w.shape[0]
     dh, dw = dilation
     ho, wo = h - dh * (kh - 1), wid - dw * (kw - 1)
-    if w.shape[1] == 1 and cin == cout:
-        op = np.multiply
-        taps = w.reshape(cout, kh * kw).T[:, :, None]  # (taps, C, 1)
-    else:
-        op = np.matmul
-        taps = w.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin)
     offsets = [i * dh * pitch + j * dw for i in range(kh) for j in range(kw)]
     acc = np.empty((b_, cout, ho * pitch), dtype=_acc_dtype(x, w, b))
     span = (ho - 1) * pitch + wo  # flat extent holding every output position
+    if w.shape[1] == 1 and cin == cout:
+        # depthwise: per channel, one scalar multiply and one add per tap,
+        # where a (C, 1) weight broadcast over every channel costs ≈4x more
+        tmp = np.empty((b_, span), dtype=acc.dtype)
+        for c, taps in enumerate(w.reshape(cout, kh * kw)):
+            dst = acc[:, c, :span]
+            np.multiply(xf[:, c, offsets[0] : offsets[0] + span], taps[0], out=dst)
+            for tap, off in zip(taps[1:], offsets[1:]):
+                dst += np.multiply(xf[:, c, off : off + span], tap, out=tmp)
+            if b is not None:
+                dst += b[c]
+        return acc.reshape(b_, cout, ho, pitch)[:, :, :, :wo]
+    taps = w.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin)
     # Column chunks keep the per-tap temporary small and the accumulator
     # block cache-resident across taps.
     step = max(1, _TAP_ELEMS // max(1, b_ * cout))
@@ -174,14 +191,126 @@ def _conv_flat(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
     for c0 in range(0, span, step):
         c1 = min(c0 + step, span)
         dst = acc[:, :, c0:c1]
-        op(taps[0], xf[:, :, offsets[0] + c0 : offsets[0] + c1], out=dst)
+        np.matmul(taps[0], xf[:, :, offsets[0] + c0 : offsets[0] + c1], out=dst)
         for tap, off in zip(taps[1:], offsets[1:]):
             part = tmp[:, :, : c1 - c0]
-            op(tap, xf[:, :, off + c0 : off + c1], out=part)
+            np.matmul(tap, xf[:, :, off + c0 : off + c1], out=part)
             dst += part
         if b is not None:
             dst += b[:, None]
     return acc.reshape(b_, cout, ho, pitch)[:, :, :, :wo]
+
+
+def _conv_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
+               padding) -> np.ndarray:
+    """Stride-1 dense correlation, one GEMM per output row.
+
+    Output row r reads the padded rows r + i*dh (i < kh), all of phase
+    r mod dh. Per item and phase, a block of output rows and columns
+    copies the input rows and columns it reads into a reused (row, Cin,
+    cols) buffer, zero in the pad columns, so the kh rows of an output row
+    are one contiguous (kh*Cin, cols) matrix, and one batched matmul
+    against the weights laid out as (kw*Cout, kh*Cin) contracts a run of
+    output rows. The kw taps along W are the Cout-row slices of that
+    product, summed shifted by j*dw columns while it is in cache. Pad rows
+    are never copied: an edge row contracts only its taps that read the
+    map (the MAC count stays the nominal one). The copy is a relayout with
+    a halo of kh - 1 rows and (kw - 1)*dw columns per block, not an
+    im2col. A kernel along W only runs on the transposed plane, its taps
+    along rows, and returns a transposed view.
+    """
+    kh, kw = w.shape[2:]
+    if kh == 1 < kw:
+        out = _conv_rows(x.transpose(0, 1, 3, 2), w.transpose(0, 1, 3, 2), b,
+                         dilation[::-1], padding[::-1])
+        return out.transpose(0, 1, 3, 2)
+    b_, cin, h, wid = x.shape
+    cout = w.shape[0]
+    dh, dw = dilation
+    ph, pw = padding
+    halo = dw * (kw - 1)
+    ho, wo = h + 2 * ph - dh * (kh - 1), wid + 2 * pw - halo
+    out = np.empty((b_, cout, ho, wo), dtype=_acc_dtype(x, w, b))
+    dtype = np.result_type(x, w)  # of the GEMM operands, so matmul casts no copy
+    # row j*Cout + o, column i*Cin + c: tap (i, j) from input channel c to o
+    wm = np.asarray(w.transpose(3, 0, 2, 1).reshape(kw * cout, kh * cin), dtype=dtype)
+    # output columns per block, in equal blocks that leave room for
+    # max(8, kh - 1) output rows, then output rows per block
+    fit = _ROW_BLOCK_ELEMS // ((max(8, kh - 1) + kh - 1) * cin) - halo
+    nblk = -(-wo // max(1, fit))
+    wstep = -(-wo // nblk)
+    step = max(1, _ROW_BLOCK_ELEMS // (cin * (wstep + halo)) - kh + 1)
+    nrows = min(step + kh - 1, -(-h // dh))
+    buf = np.empty(nrows * cin * (wstep + halo), dtype=dtype)
+    # output rows per GEMM: with kw > 1 their product and tap sum stay in cache
+    batch = max(1, _ROW_PRODUCT_ELEMS // (kw * cout * (wstep + halo))) if kw > 1 else step
+    if kw > 1:
+        prod = np.empty(batch * kw * cout * (wstep + halo), dtype=dtype)
+        tmp = np.empty(batch * cout * wstep, dtype=out.dtype)
+
+    def emit(wk, mat, dst):
+        """dst, (n, Cout, m) output rows, from their (n, K, m + halo) input
+        matrices and the weight columns wk of those K rows."""
+        if kw == 1:
+            np.matmul(wk, mat, out=dst)
+            if b is not None:
+                dst += b[:, None]
+            return
+        n, _, cols = mat.shape
+        m = cols - halo
+        p = np.matmul(wk, mat, out=prod[: n * kw * cout * cols].reshape(n, kw * cout, cols))
+        acc = np.add(p[:, :cout, :m], p[:, cout : 2 * cout, dw : dw + m],
+                     out=tmp[: n * cout * m].reshape(n, cout, m))
+        for j in range(2, kw):
+            acc += p[:, j * cout : (j + 1) * cout, j * dw : j * dw + m]
+        if b is None:
+            dst[...] = acc
+        else:
+            np.add(acc, b[:, None], out=dst)
+
+    for i, phase, o0 in itertools.product(range(b_), range(min(dh, ho)), range(0, wo, wstep)):
+        o1 = min(o0 + wstep, wo)
+        cols = o1 - o0 + halo
+        # padded columns [o0, o0 + cols); x holds [a0, a1) of them
+        a0, a1 = min(max(pw - o0, 0), cols), min(max(pw + wid - o0, 0), cols)
+        # output rows phase + dh*q read the phase's padded rows q .. q + kh - 1,
+        # of which [vlo, vhi) hold the map
+        nq = -(-(ho - phase) // dh)
+        vlo = max(0, -(-(ph - phase) // dh))
+        vhi = -(-(ph + h - phase) // dh)
+
+        def dst(qa, qb):
+            return out[i, :, phase + dh * qa : phase + dh * (qb - 1) + 1 : dh,
+                       o0:o1].transpose(1, 0, 2)
+
+        for q0 in range(0, nq, step):
+            q1 = min(q0 + step, nq)
+            v0, v1 = max(q0, vlo), min(q1 + kh - 1, vhi)
+            rows = buf[: max(v1 - v0, 0) * cin * cols].reshape(-1, cin, cols)
+            if len(rows):
+                rows[:, :, :a0] = 0
+                rows[:, :, a1:] = 0
+                s0 = phase + dh * v0 - ph
+                rows[:, :, a0:a1] = x[i, :, s0 : s0 + dh * (v1 - v0 - 1) + 1 : dh,
+                                      o0 + a0 - pw : o0 + a1 - pw].transpose(1, 0, 2)
+            # rows [fa, fb) read the map with every tap
+            fa, fb = max(q0, vlo), min(q1, vhi - kh + 1)
+            for qa in range(fa, fb, batch):
+                qb = min(qa + batch, fb)
+                mat = np.lib.stride_tricks.as_strided(
+                    rows[qa - v0 :], (qb - qa, kh * cin, cols), rows.strides, writeable=False)
+                emit(wm, mat, dst(qa, qb))
+            for q in range(q0, q1):
+                if fa <= q < fb:
+                    continue
+                lo, hi = max(vlo - q, 0), min(vhi - q, kh)
+                if hi <= lo:  # every tap reads padding
+                    dst(q, q + 1)[...] = 0 if b is None else b[:, None]
+                    continue
+                s = q + lo - v0
+                emit(wm[:, lo * cin : hi * cin],
+                     rows[s : s + hi - lo].reshape(1, (hi - lo) * cin, cols), dst(q, q + 1))
+    return out
 
 
 def _conv_scatter(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
@@ -295,21 +424,32 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -
     Plain weights have shape (Cout, Cin/groups, kh, kw); transposed
     weights use (Cin, Cout, kh, kw). `groups` is 1, or Cin = Cout for a
     stride-1 depthwise conv; any other value raises `InvalidSpecError`.
-    Every conv runs one GEMM (or, depthwise, one broadcast multiply) per
-    kernel tap: stride-1 convs over the flattened padded plane, strided
-    convs over each tap's strided view, and transposed convs scattered
-    into strided views of the output. Each path adds the bias into its own
-    accumulator, and the result may be a view of that fresh accumulator.
+    Dense stride-1 convs with more than one tap and at least
+    _ROW_MIN_PAIRS Cout·Cin pairs run one GEMM per output row
+    (`_conv_rows`). Every other conv runs one GEMM (or, depthwise, one
+    scalar multiply per channel) per kernel tap: stride-1 convs over the
+    flattened padded plane, strided convs over each tap's strided view,
+    and transposed convs scattered into strided views of the output. Each
+    path adds the bias into its own accumulator, and the result may be a
+    view of that fresh accumulator.
     """
     macs = _check_conv(x, w, b, spec)
     if spec.transposed:
         out = _conv_scatter(x, w, b, spec)
     elif spec.stride == (1, 1):
-        out = _conv_flat(x, w, b, spec.dilation, spec.padding)
+        conv = _conv_rows if _runs_rows(w, spec) else _conv_flat
+        out = conv(x, w, b, spec.dilation, spec.padding)
     else:
         out = _conv_strided(x, w, b, spec)
     add_macs(macs)
     return out
+
+
+def _runs_rows(w: np.ndarray, spec: ConvSpec) -> bool:
+    """Whether a stride-1 conv runs row-blocked: dense, more than one tap,
+    and at least _ROW_MIN_PAIRS Cout·Cin weight pairs per tap."""
+    return (spec.groups == 1 and spec.kernel != (1, 1)
+            and w.shape[0] * w.shape[1] >= _ROW_MIN_PAIRS)
 
 
 def conv_out_shape(in_shape: tuple[int, int], spec: ConvSpec) -> tuple[int, int]:
@@ -345,6 +485,7 @@ def normalize(x: np.ndarray, kind: str, gain, shift, out: np.ndarray | None = No
         raise InvalidParameterError(f"unknown normalization kind {kind!r}")
     if x.ndim != 4:
         raise ShapeError(f"normalize expects a (B, C, T, F) map, got shape {x.shape}")
+    _check_channels("normalize", x, gain=gain, shift=shift)
     subscripts, axes = _NORM_SUMS[kind]
     mean = x.mean(axis=axes, keepdims=True)
     # one centring pass serves both moments; einsum sums the squares
@@ -354,6 +495,14 @@ def normalize(x: np.ndarray, kind: str, gain, shift, out: np.ndarray | None = No
     d *= np.reshape(gain, (-1, 1, 1)) / np.sqrt(var + NORM_EPS)
     d += np.reshape(shift, (-1, 1, 1))
     return d
+
+
+def _check_channels(kernel: str, x: np.ndarray, **vectors) -> None:
+    """Each of `vectors` holds one value per channel of the map x."""
+    for name, v in vectors.items():
+        if np.size(v) != x.shape[1]:
+            raise ShapeError(f"{kernel}: {name} has {np.size(v)} values for a map of "
+                             f"{x.shape[1]} channels")
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +533,7 @@ def prelu(x: np.ndarray, a, out: np.ndarray | None = None) -> np.ndarray:
     array; an `out` that shares no memory with x takes no temporary."""
     if x.ndim != 4:
         raise ShapeError(f"prelu expects a (B, C, T, F) map, got shape {x.shape}")
+    _check_channels("prelu", x, a=a)
     a = np.asarray(a, dtype=x.dtype).reshape(-1, 1, 1)
     if np.all((a > 0) & (a <= 1)):
         # for 0 < a <= 1 the larger of x and a*x is the select, bit for bit

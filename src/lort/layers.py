@@ -68,8 +68,19 @@ class Conv(Layer):
         self.w = Param(f"{name}.w", wshape, init)
         self.b = Param(f"{name}.b", (cout,), "zeros")
 
-    def __call__(self, ws, x):
-        return conv2d(x, ws[self.w.name], ws[self.b.name], self.spec)
+    def __call__(self, ws, x, flip=False):
+        """The conv of x, or with `flip` of x's transposed (B, C, W, H)
+        plane: every pair of the spec swapped, on the transposed weight."""
+        w, spec = ws[self.w.name], self.spec
+        if flip:
+            w, spec = w.transpose(0, 1, 3, 2), _swapped(spec)
+        return conv2d(x, w, ws[self.b.name], spec)
+
+
+def _swapped(spec: ConvSpec) -> ConvSpec:
+    """`spec` on the transposed plane: each (H, W) pair becomes (W, H)."""
+    return replace(spec, **{f: getattr(spec, f)[::-1] for f in
+                            ("kernel", "stride", "dilation", "padding", "out_pad")})
 
 
 class Norm(Layer):
@@ -113,14 +124,16 @@ class DenseStack(Layer):
 
     Orientation: a first conv computes every column of the buffer's row
     pitch and keeps W of them per row, H·(W + 2Q) outputs for H·W kept.
-    When that is more than W·(H + 2P), the cost with the axes swapped, the
-    stack runs on the transposed plane: the buffer is (B, C_last, W + 2Q,
-    H + 2P), the input is written into it transposed, each first conv runs
-    with kernel and dilation swapped on its weight read as a transposed
-    view, the epilogues run on the transposed maps, and the last output is
-    returned as a transposed view. Only the input shape decides. A stack
-    whose layers run a Conv after the first one (the `Dlc` stacks, whose
-    border is (0, 0)) always keeps the (H, W) plane.
+    When that is more than W·(H + 2P), the cost with the axes swapped, and
+    no layer runs a Conv after its first one, or when every multi-tap conv
+    of the stack has its kernel along W only (a `Dlc` along frequency,
+    whose border is (0, 0)), the stack runs on the transposed plane: the
+    buffer is (B, C_last, W + 2Q, H + 2P), the input is written into it
+    transposed, every conv runs with kernel and geometry swapped on its
+    weight read as a transposed view (so a kernel along W runs along the
+    rows of the plane it reads), the epilogues run on the transposed maps,
+    and the last output is returned as a transposed view. Only the input
+    shape and the kernels decide.
     """
 
     def __init__(self, layers):
@@ -136,10 +149,13 @@ class DenseStack(Layer):
         self._planes = (
             (border, pads, specs),
             (border[::-1], [p[::-1] for p in pads],
-             [replace(sp, kernel=sp.kernel[::-1], dilation=sp.dilation[::-1]) for sp in specs]),
+             [_swapped(sp) for sp in specs]),
         )
         self._may_transpose = all(not isinstance(sub, Conv)
                                   for layer in self.layers for sub in layer[1:])
+        taps = [sub.spec.kernel for layer in self.layers for sub in layer
+                if isinstance(sub, Conv) and sub.spec.kernel != (1, 1)]
+        self._along_w = bool(taps) and all(kh == 1 for kh, _ in taps)
 
     def __call__(self, ws, x, stem: Conv | None = None):
         if stem is not None:
@@ -149,7 +165,7 @@ class DenseStack(Layer):
             raise ShapeError(f"dense stack expects (B, {cins[0]}, H, W), got shape {x.shape}")
         b, c, h, w = x.shape
         bh, bw = self._planes[0][0]
-        flip = self._may_transpose and h * (w + 2 * bw) > w * (h + 2 * bh)
+        flip = self._along_w or self._may_transpose and h * (w + 2 * bw) > w * (h + 2 * bh)
         if flip:
             x = x.transpose(0, 1, 3, 2)
             h, w, bh, bw = w, h, bw, bh
@@ -159,10 +175,11 @@ class DenseStack(Layer):
         maps[:, :c] = x
         del x  # a stem's output lives on in the buffer only
         for j, layer in enumerate(self.layers[:-1]):
-            _tail(ws, layer[1:], self._head(ws, buf, j, flip), maps[:, cins[j] : cins[j + 1]])
+            _tail(ws, layer[1:], self._head(ws, buf, j, flip), flip,
+                  maps[:, cins[j] : cins[j + 1]])
         z = self._head(ws, buf, len(cins) - 1, flip)
         del buf, maps  # the last head conv was the buffer's last reader
-        z = _tail(ws, self.layers[-1][1:], z)
+        z = _tail(ws, self.layers[-1][1:], z, flip)
         return z.transpose(0, 1, 3, 2) if flip else z
 
     def _head(self, ws, buf, j, flip):
@@ -179,13 +196,14 @@ class DenseStack(Layer):
         return conv2d(view, weight, ws[conv.b.name], specs[j])
 
 
-def _tail(ws, subs, z, out=None):
+def _tail(ws, subs, z, flip, out=None):
     """Apply a dense layer's sub-layers after its first conv to that conv's
-    fresh output z: a Conv makes a new map, an epilogue runs in place, and
-    the last sub-layer's result goes to `out` when one is given."""
+    fresh output z: a Conv makes a new map (on the transposed plane when
+    `flip`), an epilogue runs in place, and the last sub-layer's result
+    goes to `out` when one is given."""
     for k, sub in enumerate(subs, 1):
         if isinstance(sub, Conv):
-            z = sub(ws, z)
+            z = sub(ws, z, flip)
         else:
             z = sub(ws, z, out=z if out is None or k < len(subs) else out)
     if out is not None and z is not out:

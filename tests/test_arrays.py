@@ -167,6 +167,22 @@ def test_normalize_gain_shift_and_errors():
         normalize(x[0], "layer", np.ones(4), np.zeros(4))
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_normalize_names_a_gain_or_shift_of_another_length(n):
+    """One gain and one shift per channel: a length-1 vector no longer
+    broadcasts over three channels, and others no longer raise numpy's
+    bare broadcast ValueError."""
+    x = np.ones((1, 3, 4, 4))
+    with pytest.raises(ShapeError, match=f"normalize: gain has {n} values for a map of 3 "):
+        normalize(x, "layer", np.ones(n), np.zeros(3))
+    with pytest.raises(ShapeError, match=f"normalize: shift has {n} values for a map of 3 "):
+        normalize(x, "instance", np.ones(3), np.zeros(n))
+    # a scalar is one value, valid on a one-channel map only
+    assert normalize(x[:, :1], "layer", 2.0, 0.5).shape == (1, 1, 4, 4)
+    with pytest.raises(ShapeError, match="gain has 1 values"):
+        normalize(x, "layer", 2.0, np.zeros(3))
+
+
 def test_normalize_matches_two_pass_formula():
     rng = np.random.default_rng(8)
     for kind, axes in (("layer", (1, 2, 3)), ("instance", (2, 3))):
@@ -257,6 +273,15 @@ def test_prelu_out_matches_where_form(a):
         assert_same_bits(other, want)
     assert (buf == 7.0).sum() == buf.size - view.size
     assert np.signbit(prelu(np.array(-0.0).reshape(1, 1, 1, 1), 0.25)).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_prelu_names_slopes_of_another_length(n):
+    x = np.ones((1, 3, 4, 4))
+    with pytest.raises(ShapeError, match=f"prelu: a has {n} values for a map of 3 channels"):
+        prelu(x, np.full(n, 0.25))
+    with pytest.raises(ShapeError, match="prelu: a has 1 values"):
+        prelu(x, 0.25, out=x)
 
 
 def test_prelu_into_a_separate_out_allocates_no_map():

@@ -7,10 +7,12 @@ with `lort.arrays.conv2d`, so it checks every path's arithmetic, bias add
 included, independently.
 Specs are drawn from a seeded generator so every run checks the same cases.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lort import arrays, model
+from lort import arrays, layers, model
 from lort.arrays import ConvSpec, FlopMeter, _check_conv, add_macs, conv2d, same_pad
 from lort.errors import InvalidSpecError
 from lort.layers import init_store
@@ -255,6 +257,42 @@ def test_nonzero_bias_through_every_path():
             assert np.abs(out - ref).max() <= tol * np.abs(ref).max(), spec
 
 
+def depthwise_broadcast(x, w, b, spec):
+    """The depthwise conv as the flat-plane path ran it before it went per
+    channel: each tap's (C, 1) weights broadcast over every channel of the
+    flattened padded plane, then the bias."""
+    ph, pw = spec.padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    bsz, c, h, wid = xp.shape
+    (kh, kw), (dh, dw) = spec.kernel, spec.dilation
+    ho, wo = h - dh * (kh - 1), wid - dw * (kw - 1)
+    xf = xp.reshape(bsz, c, h * wid)
+    span = (ho - 1) * wid + wo
+    taps = w.reshape(c, kh * kw).T[:, :, None]  # (taps, C, 1)
+    offsets = [i * dh * wid + j * dw for i in range(kh) for j in range(kw)]
+    acc = np.zeros((bsz, c, ho * wid))
+    acc[:, :, :span] = taps[0] * xf[:, :, offsets[0] : offsets[0] + span]
+    for tap, off in zip(taps[1:], offsets[1:]):
+        acc[:, :, :span] += tap * xf[:, :, off : off + span]
+    acc[:, :, :span] += b[:, None]
+    return acc.reshape(bsz, c, ho, wid)[:, :, :, :wo]
+
+
+@pytest.mark.parametrize("shape,dilation", [
+    ((2, 48, 160, 64), (1, 1)),  # block-width cfn.dw and msar.local
+    ((2, 8, 125, 8), (1, 1)),    # micro_config()
+    ((2, 16, 21, 30), (2, 3)),
+])
+def test_depthwise_per_channel_is_the_broadcast_form_bit_for_bit(shape, dilation):
+    rng = np.random.default_rng(44)
+    c = shape[1]
+    spec = ConvSpec(kernel=(3, 3), dilation=dilation, groups=c,
+                    padding=same_pad((3, 3), dilation))
+    x, w, b = (rng.standard_normal(shape), rng.standard_normal((c, 1, 3, 3)),
+               rng.standard_normal(c))
+    assert conv2d(x, w, b, spec).tobytes() == depthwise_broadcast(x, w, b, spec).tobytes()
+
+
 def bordered_views(rng, batch=2, border=5):
     """Padding-0 cases whose inputs are row-strided windows of a larger
     buffer with a random (nonzero) border: (x, w, b, spec) per conv shape."""
@@ -318,8 +356,10 @@ def test_groups_is_one_or_depthwise():
 
 def test_fast_paths_build_no_window_view(monkeypatch):
     """No conv the network runs, nor a whole forward with its critic,
-    reaches a sliding-window view: every path is per kernel tap. Convs at
-    padding 0 over windows of a bordered buffer copy no input."""
+    reaches a sliding-window view: every path contracts per kernel tap or,
+    row-blocked, per output row over a relayout of the rows it reads.
+    Convs at padding 0 over windows of a bordered buffer make no padded or
+    contiguous copy of their input."""
     def no_windows(*args, **kwargs):
         raise AssertionError("window view built")
 
@@ -351,6 +391,9 @@ def test_fast_paths_build_no_window_view(monkeypatch):
     monkeypatch.setattr(np, "ascontiguousarray", no_copy)
     for case in bordered_views(rng):
         conv2d(*case)
+    buf = rng.standard_normal((2, 20, 16, 17))  # a row-blocked conv on a window
+    conv2d(buf[:, 2:18, 1:-1, 2:-2], rng.standard_normal((16, 16, 3, 3)), None,
+           ConvSpec(kernel=(3, 3), dilation=(2, 2)))
     stack = model.dilated_dense("dense", 4, (1, 2, 4, 8))
     for shape in ((2, 4, 9, 10), (2, 4, 10, 9)):  # (H, W) and transposed plane
         stack(init_store(stack.manifest()), rng.standard_normal(shape))
@@ -414,3 +457,150 @@ def test_resampling_convs_make_no_transposing_copy_of_a_transposed_view(monkeypa
         out = conv2d(view, w, b, spec)
         assert arrays._transposed_view(out)
         assert np.array_equal(out, want)
+
+
+# ---------------------------------------------------------------------------
+# The row-blocked engine
+
+# (kernel, dilation, plane): every kernel shape the network runs row-blocked,
+# at dilations 1 to 8, on planes that leave full rows in each phase at padding 0
+ROW_SPECS = [((3, 3), (d, d), (45, 23)) for d in (1, 2, 4, 8)] + [
+    ((3, 3), (8, 1), (45, 23)),
+    *[((19, 1), (d, 1), (80, 5)) for d in (1, 2, 4)],
+    *[((1, 19), (1, d), (5, 80)) for d in (1, 2, 4)],
+]
+
+
+def count_row_calls(monkeypatch):
+    """The kernel shape of every `_conv_rows` call, in call order: a kernel
+    along W only calls again with its taps along rows."""
+    calls, rows = [], arrays._conv_rows
+
+    def counted(x, w, *args):
+        calls.append(w.shape[2:])
+        return rows(x, w, *args)
+
+    monkeypatch.setattr(arrays, "_conv_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("same", [False, True], ids=["pad0", "same"])
+@pytest.mark.parametrize("kernel,dilation,plane", ROW_SPECS,
+                         ids=[f"{k[0]}x{k[1]}_d{d[0]}x{d[1]}" for k, d, _ in ROW_SPECS])
+def test_row_engine_matches_reference_in_small_blocks(monkeypatch, kernel, dilation, plane,
+                                                      same):
+    """With the caps patched small, a phase spans several row blocks, the
+    columns several column blocks with their halo, GEMMs take two rows,
+    phases differ in length, and edge rows contract fewer taps. A bordered
+    window and a transposed view give the contiguous input's result bit
+    for bit (Cout >= 2)."""
+    rng = np.random.default_rng(sum(kernel) * 10 + sum(dilation) + same)
+    cin, cout = 17, 16  # 272 weight pairs per tap: row-blocked
+    padding = same_pad(kernel, dilation) if same else (0, 0)
+    (kh, kw), (h, w), pw = kernel, plane, padding[1]
+    if kh == 1 < kw:  # the engine runs on the transposed plane
+        kh, kw, w, pw = kw, kh, h, padding[0]
+    monkeypatch.setattr(arrays, "_ROW_BLOCK_ELEMS", (kh + 2) * cin * (w + 2 * pw))
+    monkeypatch.setattr(arrays, "_ROW_PRODUCT_ELEMS", 2 * kw * cout * (w + 2 * pw))
+    calls = count_row_calls(monkeypatch)
+    spec = ConvSpec(kernel=kernel, dilation=dilation, padding=padding)
+    x = rng.standard_normal((2, cin, *plane))
+    wt, b = rng.standard_normal((cout, cin, *kernel)), rng.standard_normal(cout)
+    assert_matches_reference(x, wt, b, spec)
+    want = conv2d(x, wt, b, spec)
+    buf = rng.standard_normal((2, cin + 3, plane[0] + 6, plane[1] + 6))
+    bordered = buf[:, 1 : 1 + cin, 3 : 3 + plane[0], 3 : 3 + plane[1]]
+    bordered[...] = x
+    for view in (bordered, transposed_view(x)):
+        assert np.array_equal(conv2d(view, wt, b, spec), want)
+    assert calls == ([kernel, kernel[::-1]] if kernel[0] == 1 else [kernel]) * 4
+
+
+def test_row_engine_reads_border_data_and_promotes_like_the_flat_path():
+    """At padding 0 a window's border is data; a float32 input with float64
+    weights computes in float64, and a complex bias makes the result complex."""
+    rng = np.random.default_rng(41)
+    buf = rng.standard_normal((2, 18, 30, 27))
+    x = buf[:, 1:17, 2:-2, 3:-3]
+    w, b = rng.standard_normal((16, 16, 3, 3)), rng.standard_normal(16)
+    spec = ConvSpec(kernel=(3, 3), dilation=(4, 2))
+    assert arrays._runs_rows(w, spec)
+    assert_matches_reference(x, w, b, spec)
+    for xb, bb, tol in [(x.astype(np.float32), b, 1e-6), (x, b + 1j * b[::-1], RTOL)]:
+        ref = conv2d_reference(xb, w, bb, spec)
+        out = conv2d(xb, w, bb, spec)
+        assert out.dtype == ref.dtype == np.result_type(xb, w, bb)
+        assert np.abs(out - ref).max() <= tol * np.abs(ref).max()
+
+
+def model_convs(value):
+    """Every Conv a layer tree holds."""
+    if isinstance(value, layers.Conv):
+        yield value
+    elif isinstance(value, (layers.Layer, list, tuple)):
+        for item in vars(value).values() if isinstance(value, layers.Layer) else value:
+            yield from model_convs(item)
+
+
+def test_shape_split_pins_both_sides():
+    """Dense multi-tap convs with at least 256 weight pairs per tap run
+    row-blocked; 1x1, depthwise and narrower convs stay on the flat plane.
+    So does every conv of micro_config(), while every dense multi-tap conv
+    of the reference config but the one-channel SCEA kernels runs
+    row-blocked."""
+    def rows(cout, cin, kernel, groups=1):
+        spec = ConvSpec(kernel=kernel, groups=groups)
+        return arrays._runs_rows(np.empty((cout, cin, *kernel)), spec)
+
+    assert rows(16, 16, (3, 3)) and rows(1, 256, (3, 3)) and rows(16, 16, (1, 19))
+    assert not rows(15, 17, (3, 3))  # 255 pairs
+    assert not rows(16, 16, (1, 1))
+    assert not rows(256, 1, (3, 3), groups=256)  # depthwise
+
+    def flat_convs(cfg):
+        """Names of the config's stride-1 dense multi-tap convs, each with
+        whether it runs row-blocked."""
+        return {conv.name: arrays._runs_rows(np.empty(conv.w.shape), conv.spec)
+                for conv in model_convs(model.build_model(cfg))
+                if conv.spec.stride == (1, 1) and not conv.spec.transposed
+                and conv.spec.kernel != (1, 1) and conv.spec.groups == 1}
+
+    micro = flat_convs(micro_config())
+    assert micro and not any(micro.values())
+    ref = flat_convs(model.ModelConfig())
+    assert {name for name, rowed in ref.items() if not rowed} == {
+        f"block{i}.scea.{k}" for i in range(4) for k in ("ch", "sp")}
+
+
+def test_micro_forward_runs_no_conv_row_blocked(monkeypatch):
+    calls = count_row_calls(monkeypatch)
+    cfg = micro_config()
+    model.forward(Waveform(0.1 * np.random.default_rng(42).standard_normal(2000)),
+                  model.init_weights(cfg), cfg)
+    assert calls == []
+
+
+@pytest.mark.parametrize("cin,cout,kernel,dilation,plane,padding", [
+    (48, 48, (19, 1), (4, 1), (160, 64), "same"),  # a DLC time conv
+    (48, 48, (1, 19), (1, 2), (160, 64), "same"),  # a DLC frequency conv
+    (64, 16, (3, 3), (8, 8), (144, 337), (0, 0)),  # a decoder's dilation-8 layer
+], ids=["dlc_t", "dlc_f", "dense_d8"])
+def test_row_engine_allocates_its_output_and_its_block_budget(cin, cout, kernel, dilation,
+                                                              plane, padding):
+    """Beside its output, a row-blocked conv holds the relayout of its
+    weights, one row block and one GEMM product with its tap sum."""
+    rng = np.random.default_rng(43)
+    if padding == "same":
+        padding = same_pad(kernel, dilation)
+    spec = ConvSpec(kernel=kernel, dilation=dilation, padding=padding)
+    x = rng.standard_normal((1, cin, *plane))
+    w, b = rng.standard_normal((cout, cin, *kernel)), rng.standard_normal(cout)
+    conv2d(x, w, b, spec)  # warm any lazily allocated state
+    tracemalloc.start()
+    try:
+        out = conv2d(x, w, b, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = (arrays._ROW_BLOCK_ELEMS + 2 * arrays._ROW_PRODUCT_ELEMS) * x.itemsize
+    assert peak <= out.nbytes + w.nbytes + budget, (peak, out.nbytes, budget)

@@ -112,9 +112,11 @@ def test_dense_stack_matches_concat_oracle(name, stack, cin, plane):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
     assert x.tobytes() == x_before.tobytes()  # the caller's input is not written
     if name.startswith("dlc"):
-        # border (0, 0) and a conv after each compress: the plane is never
-        # transposed, and the output is the oracle's bit for bit
+        # border (0, 0) and a conv after each compress: dlc_t keeps its plane
+        # and dlc_f, whose 1×k convs ran on the transposed plane anyway, runs
+        # the whole stack there; either output is the oracle's bit for bit
         assert got.tobytes() == want.tobytes()
+        assert (got.strides[3] > got.strides[2]) == (name == "dlc_f")
     else:
         # the transposed plane returns its last map as a transposed view
         assert (got.strides[3] > got.strides[2]) == (w < h)
