@@ -437,7 +437,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -
     if spec.transposed:
         out = _conv_scatter(x, w, b, spec)
     elif spec.stride == (1, 1):
-        conv = _conv_rows if _runs_rows(w, spec) else _conv_flat
+        conv = _conv_rows if _runs_rows(w.shape, spec) else _conv_flat
         out = conv(x, w, b, spec.dilation, spec.padding)
     else:
         out = _conv_strided(x, w, b, spec)
@@ -445,11 +445,12 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -
     return out
 
 
-def _runs_rows(w: np.ndarray, spec: ConvSpec) -> bool:
-    """Whether a stride-1 conv runs row-blocked: dense, more than one tap,
-    and at least _ROW_MIN_PAIRS Cout·Cin weight pairs per tap."""
+def _runs_rows(wshape: tuple[int, ...], spec: ConvSpec) -> bool:
+    """Whether a stride-1 conv with weights of shape `wshape` runs
+    row-blocked: dense, more than one tap, and at least _ROW_MIN_PAIRS
+    Cout·Cin weight pairs per tap."""
     return (spec.groups == 1 and spec.kernel != (1, 1)
-            and w.shape[0] * w.shape[1] >= _ROW_MIN_PAIRS)
+            and wshape[0] * wshape[1] >= _ROW_MIN_PAIRS)
 
 
 def conv_out_shape(in_shape: tuple[int, int], spec: ConvSpec) -> tuple[int, int]:

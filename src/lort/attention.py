@@ -54,9 +54,10 @@ def softmax_attention(ain: AttentionInput) -> np.ndarray:
     return np.einsum("hij,hjd->hid", weights, v)
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / np.maximum(norms, 1e-30)
+def _normalize_cols(x: np.ndarray) -> np.ndarray:
+    """x (H, Dh, N) with each of its N columns L2-normalized."""
+    norms = np.sqrt(np.einsum("hdn,hdn->hn", x, x))
+    return x / np.maximum(norms, 1e-30)[:, None, :]
 
 
 def taylor_attention(ain: AttentionInput, normalize: bool = True) -> np.ndarray:
@@ -64,23 +65,29 @@ def taylor_attention(ain: AttentionInput, normalize: bool = True) -> np.ndarray:
 
     Weights are 1 + q_i . k_j; rows of q and k are L2-normalized first so
     every weight is non-negative. The N x N weight matrix is never formed.
+    The products run on the (H, Dh, N) planes of q, k and v, contiguous for
+    heads cut from channel-major maps, each as one matmul; the (H, N, Dh)
+    result is a transposed view of the (H, Dh, N) one.
     """
-    q, k, v = ain.q, ain.k, ain.v
-    h, n, dh = q.shape
+    h, n, dh = ain.q.shape
+    q, k, v = (a.transpose(0, 2, 1) for a in (ain.q, ain.k, ain.v))
     if normalize:
-        q = _normalize_rows(q)
-        k = _normalize_rows(k)
-    k_sum = k.sum(axis=1)                      # (H, Dh)
-    v_sum = v.sum(axis=1)                      # (H, Dh)
-    kv = np.einsum("hjd,hje->hde", k, v)       # (H, Dh, Dh)
-    num = v_sum[:, None, :] + np.einsum("hid,hde->hie", q, kv)
-    den = n + q @ k_sum[:, :, None]            # (H, N, 1)
+        q = _normalize_cols(q)
+        k = _normalize_cols(k)
+    k_sum = k.sum(axis=2, keepdims=True)        # (H, Dh, 1)
+    v_sum = v.sum(axis=2, keepdims=True)        # (H, Dh, 1)
+    num = v @ k.transpose(0, 2, 1) @ q          # (H, Dh, N)
+    num += v_sum
+    den = k_sum.transpose(0, 2, 1) @ q          # (H, 1, N)
+    den += n
     if den.min() < 1e-6:
         raise DegenerateAttentionError(
             f"Taylor denominator {den.min():.3e} below 1e-6 (keys antipodal to query)"
         )
     add_macs(2 * h * n * dh * dh + 2 * h * n * dh)
-    return num / den
+    # in place unless integer inputs left unnormalized make num integral
+    out = num if num.dtype.kind in "fc" else None
+    return np.divide(num, den, out=out).transpose(0, 2, 1)
 
 
 def msar_correct(q, k, v, vprime, ws, local, gate) -> np.ndarray:
@@ -95,7 +102,9 @@ def msar_correct(q, k, v, vprime, ws, local, gate) -> np.ndarray:
                          f"{q.shape}, {k.shape}, {v.shape}, {vprime.shape}")
     loc = local(ws, v)
     g = sigmoid(gate(ws, np.concatenate([q, k], axis=1)))
-    return vprime + g * loc
+    g *= loc
+    g += vprime
+    return g
 
 
 def scea(x: np.ndarray, ws, ch, sp) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .arrays import ConvSpec, conv2d, normalize, prelu, same_pad
+from .arrays import ConvSpec, _runs_rows, conv2d, normalize, prelu, same_pad
 from .errors import InvalidParameterError, ShapeError, check_int
 from .weights import WeightStore
 
@@ -113,39 +113,48 @@ class DenseStack(Layer):
     epilogues (Norm, PRelu) that take `out=`. No concat is built: one
     zero-bordered buffer (B, C_last, H + 2P, W + 2Q) holds the input and
     every layer output but the last, where C_last is the last layer's input
-    channels and (P, Q) the largest padding of the layers' first convs.
-    Layer j's first conv reads its channels and its own border of that
-    buffer as a view at padding 0. Each later sub-layer of a layer runs on
+    channels. A first conv that `conv2d` runs row-blocked pads in the
+    engine without a copy, so it reads its channels of the buffer's
+    interior at its own padding; any other first conv runs on the flat
+    plane, which needs its padding in memory, and reads its channels and
+    its own border of the buffer as a view at padding 0. (P, Q) is the
+    largest padding of the flat-path first convs, (0, 0) when every first
+    conv runs row-blocked. Each later sub-layer of a layer runs on
     that conv's fresh output, the epilogues in place, and only the last
     one writes into the layer's channel slice. The buffer is released once
     the last layer's first conv has read it, so the last layer's other
     sub-layers run beside no buffer (Pleiss et al., "Memory-Efficient
     Implementation of DenseNets", arXiv:1707.06990).
 
-    Orientation: a first conv computes every column of the buffer's row
-    pitch and keeps W of them per row, H·(W + 2Q) outputs for H·W kept.
-    When that is more than W·(H + 2P), the cost with the axes swapped, and
-    no layer runs a Conv after its first one, or when every multi-tap conv
-    of the stack has its kernel along W only (a `Dlc` along frequency,
-    whose border is (0, 0)), the stack runs on the transposed plane: the
-    buffer is (B, C_last, W + 2Q, H + 2P), the input is written into it
-    transposed, every conv runs with kernel and geometry swapped on its
-    weight read as a transposed view (so a kernel along W runs along the
-    rows of the plane it reads), the epilogues run on the transposed maps,
-    and the last output is returned as a transposed view. Only the input
-    shape and the kernels decide.
+    Orientation: a flat-path first conv computes every column of the
+    buffer's row pitch and keeps W of them per row, H·(W + 2Q) outputs for
+    H·W kept. When that is more than W·(H + 2P), the cost with the axes
+    swapped, and no layer runs a Conv after its first one, or when every
+    multi-tap conv of the stack has its kernel along W only (a `Dlc` along
+    frequency, whose border is (0, 0)), the stack runs on the transposed
+    plane: the buffer is (B, C_last, W + 2Q, H + 2P), the input is written
+    into it transposed, every conv runs with kernel and geometry swapped on
+    its weight read as a transposed view (so a kernel along W runs along
+    the rows of the plane it reads), the epilogues run on the transposed
+    maps, and the last output is returned as a transposed view. With no
+    border both planes cost the same, so a stack whose first convs all run
+    row-blocked keeps the (H, W) plane unless its kernels lie along W.
+    Only the input shape and the convs' kernels and widths decide.
     """
 
     def __init__(self, layers):
         self.layers = [tuple(layer) for layer in layers]
         heads = [layer[0] for layer in self.layers]
         self._cins = [conv.cin for conv in heads]
-        pads = [conv.spec.padding for conv in heads]
+        # a row-blocked head pads in the engine, with no copy, and reads the
+        # plain maps; a flat-path head reads its padding from the border
+        rowed = [_runs_rows(conv.w.shape, conv.spec) for conv in heads]
+        pads = [(0, 0) if r else conv.spec.padding for conv, r in zip(heads, rowed)]
         border = tuple(max(p[i] for p in pads) for i in range(2))
-        # the heads read their padding from the buffer's border
-        specs = [replace(conv.spec, padding=(0, 0)) for conv in heads]
-        # (border, head paddings, head specs) on the (H, W) plane, then on
-        # the transposed (W, H) plane
+        specs = [conv.spec if r else replace(conv.spec, padding=(0, 0))
+                 for conv, r in zip(heads, rowed)]
+        # (border, border each head reads, head specs) on the (H, W) plane,
+        # then on the transposed (W, H) plane
         self._planes = (
             (border, pads, specs),
             (border[::-1], [p[::-1] for p in pads],
@@ -183,8 +192,9 @@ class DenseStack(Layer):
         return z.transpose(0, 1, 3, 2) if flip else z
 
     def _head(self, ws, buf, j, flip):
-        """Layer j's first conv over its channels and border of the buffer,
-        on the transposed plane when `flip`."""
+        """Layer j's first conv over its channels and border of the buffer
+        (no border for a row-blocked conv), on the transposed plane when
+        `flip`."""
         (bh, bw), pads, specs = self._planes[flip]
         ph, pw = pads[j]
         h, w = buf.shape[2] - 2 * bh, buf.shape[3] - 2 * bw

@@ -265,8 +265,9 @@ class Lrtt(Layer):
 
     def __call__(self, ws, x):
         y = self.ln1(ws, x)
-        x = x + self._attend(ws, y) + att.scea(y, ws, self.scea_ch, self.scea_sp)
-        x = x + self.ffn(ws, self.ln2(ws, x))
+        x = x + self._attend(ws, y)
+        x += att.scea(y, ws, self.scea_ch, self.scea_sp)
+        x += self.ffn(ws, self.ln2(ws, x))
         return lrc_block(self.lrc, ws, x)
 
 

@@ -38,6 +38,28 @@ def test_taylor_matches_bruteforce_reference():
         npt.assert_allclose(taylor_attention(ain), taylor_reference(ain), atol=1e-12)
 
 
+def test_taylor_on_head_views_of_channel_major_maps():
+    """The model cuts its heads as (H, N, Dh) transposed views of (H, Dh, N)
+    channel-major maps; the result lies in that plane too, so transposing
+    it back to channel-major order copies nothing."""
+    rng = np.random.default_rng(5)
+    q, k, v = (rng.standard_normal((3, 8, 5 * 7)).transpose(0, 2, 1) for _ in range(3))
+    ain = AttentionInput(q, k, v)
+    got = taylor_attention(ain)
+    want = taylor_reference(ain)
+    assert got.shape == want.shape == (3, 35, 8)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert got.transpose(0, 2, 1).flags.c_contiguous
+
+
+def test_unnormalized_integer_taylor_divides_like_floats():
+    q = np.arange(2 * 5 * 3).reshape(2, 5, 3) % 4
+    got = taylor_attention(AttentionInput(q, q[:, ::-1], q + 1), normalize=False)
+    want = taylor_attention(AttentionInput(q * 1.0, q[:, ::-1] * 1.0, q + 1.0), normalize=False)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
 def test_zero_query_reduces_to_row_mean():
     ain = random_input(seed=1)
     zero_q = AttentionInput(np.zeros_like(ain.q), ain.k, ain.v)

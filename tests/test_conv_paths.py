@@ -524,7 +524,7 @@ def test_row_engine_reads_border_data_and_promotes_like_the_flat_path():
     x = buf[:, 1:17, 2:-2, 3:-3]
     w, b = rng.standard_normal((16, 16, 3, 3)), rng.standard_normal(16)
     spec = ConvSpec(kernel=(3, 3), dilation=(4, 2))
-    assert arrays._runs_rows(w, spec)
+    assert arrays._runs_rows(w.shape, spec)
     assert_matches_reference(x, w, b, spec)
     for xb, bb, tol in [(x.astype(np.float32), b, 1e-6), (x, b + 1j * b[::-1], RTOL)]:
         ref = conv2d_reference(xb, w, bb, spec)
@@ -550,7 +550,7 @@ def test_shape_split_pins_both_sides():
     row-blocked."""
     def rows(cout, cin, kernel, groups=1):
         spec = ConvSpec(kernel=kernel, groups=groups)
-        return arrays._runs_rows(np.empty((cout, cin, *kernel)), spec)
+        return arrays._runs_rows((cout, cin, *kernel), spec)
 
     assert rows(16, 16, (3, 3)) and rows(1, 256, (3, 3)) and rows(16, 16, (1, 19))
     assert not rows(15, 17, (3, 3))  # 255 pairs
@@ -560,7 +560,7 @@ def test_shape_split_pins_both_sides():
     def flat_convs(cfg):
         """Names of the config's stride-1 dense multi-tap convs, each with
         whether it runs row-blocked."""
-        return {conv.name: arrays._runs_rows(np.empty(conv.w.shape), conv.spec)
+        return {conv.name: arrays._runs_rows(conv.w.shape, conv.spec)
                 for conv in model_convs(model.build_model(cfg))
                 if conv.spec.stride == (1, 1) and not conv.spec.transposed
                 and conv.spec.kernel != (1, 1) and conv.spec.groups == 1}

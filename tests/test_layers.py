@@ -122,6 +122,20 @@ def test_dense_stack_matches_concat_oracle(name, stack, cin, plane):
         assert (got.strides[3] > got.strides[2]) == (w < h)
 
 
+@pytest.mark.parametrize("plane", PLANES)
+def test_row_blocked_heads_read_no_border(plane):
+    """At the reference width every head conv runs row-blocked and pads in
+    the engine, so the buffer has no border, both planes cost the same and
+    the stack keeps the (H, W) plane: its output is the oracle's bit for
+    bit and C-contiguous on either side of the orientation rule."""
+    stack = dilated_dense("dense", 16, (1, 2, 4, 8))
+    ws = shifted_store(stack, 36)
+    x = np.random.default_rng(37).standard_normal((2, 16, *PLANES[plane]))
+    got = stack(ws, x)
+    assert got.tobytes() == dense_concat(stack, ws, x).tobytes()
+    assert got.flags.c_contiguous
+
+
 def test_stack_with_convs_after_the_head_keeps_its_plane():
     """A bordered stack whose layers run a conv after the first one stays on
     the (H, W) plane at W < H, where a bare-epilogue stack transposes."""
@@ -183,15 +197,16 @@ def test_forward_leaves_caller_arrays_untouched():
 
 @pytest.mark.parametrize("h,w", [(128, 128), (160, 96)], ids=["square", "transposed"])
 def test_dense_stack_peak_memory_is_one_buffer(h, w):
-    """One dilated_dense call allocates its bordered buffer and at most three
-    maps more (conv accumulator, per-tap temporary, epilogue temporary); a
-    concat or a padded copy of the layer inputs exceeds that. At W < H the
-    stack runs on the transposed plane, in a buffer as large."""
+    """One dilated_dense call allocates its buffer and at most three maps
+    more (conv accumulator, per-tap temporary, epilogue temporary); a
+    concat or a padded copy of the layer inputs exceeds that. Every head
+    conv runs row-blocked and pads in the engine, so the buffer has no
+    border and the stack keeps the (H, W) plane at W < H too."""
     stack = dilated_dense("dense", 16, (1, 2, 4, 8))
     ws = init_store(stack.manifest())
     x = np.random.default_rng(22).standard_normal((1, 16, h, w))
     stack(ws, x)  # warm any lazily allocated state
-    buffer = 64 * (h + 16) * (w + 16) * x.itemsize  # Cin + 3 growths, border 8
+    buffer = 64 * h * w * x.itemsize  # Cin + 3 growths, no border
     tracemalloc.start()
     try:
         stack(ws, x)
@@ -208,13 +223,14 @@ def test_encoder_peak_memory_is_its_buffer_and_two_maps(t, f):
     epilogues write into the buffer without a temporary, and the buffer
     goes before the last layer's epilogues and the strided down_f. The
     stem output held beside the stack, prelu's a*x product and the
-    previous layer's accumulator (≈3 maps more) exceed the bound. At F < T
-    the stack runs on the transposed plane, in a buffer as large."""
+    previous layer's accumulator (≈3 maps more) exceed the bound. The
+    stack's head convs run row-blocked, so its buffer has no border and it
+    keeps the (T, F) plane at F < T too."""
     encoder = Encoder(ModelConfig())  # 16 channels
     ws = init_store(encoder.manifest())
     x = np.random.default_rng(24).standard_normal((1, 2, t, f))
     encoder(ws, x)  # warm any lazily allocated state
-    buffer = 64 * (t + 16) * (f + 16) * x.itemsize  # 16 + 3 growths, border 8
+    buffer = 64 * t * f * x.itemsize  # 16 + 3 growths, no border
     feature_map = 16 * t * f * x.itemsize
     tracemalloc.start()
     try:
