@@ -313,87 +313,88 @@ def _conv_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
     return out
 
 
-def _conv_scatter(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-                  spec: ConvSpec) -> np.ndarray:
-    """Transposed conv: each tap's GEMM is added into a strided view of
-    the output, with no zero-stuffed input. A transposed view is read, and
-    its result built, on the (B, C, W, H) plane it lies in."""
-    b_, cin, h, wid = x.shape
-    cout, (kh, kw) = w.shape[1], spec.kernel
-    sh, sw_ = spec.stride
-    dh, dw = spec.dilation
-    ph, pw = spec.padding
-    ho, wo = conv_out_shape((h, wid), spec)
-    flip = _transposed_view(x)
-    # taps reach (h-1)*sh + dh*(kh-1) + 1 rows; out_pad may reach past them
-    rows = max((h - 1) * sh + dh * (kh - 1) + 1, ph + ho)
-    cols = max((wid - 1) * sw_ + dw * (kw - 1) + 1, pw + wo)
-    dtype = _acc_dtype(x, w, b)
+def _resample(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> np.ndarray:
+    """A strided or transposed conv as one relayout and one stride-1 conv
+    over the s_h*s_w phases of its stride (sub-pixel convolution; Shi et
+    al., arXiv:1609.05158), whose phase kernels hold tap i at phase i*d % s
+    and offset i*d // s, and zeros elsewhere. Strided: the phases of the
+    padded input are stacked as channels in one copy (space-to-depth).
+    Transposed: the conv of the zero-bordered input makes one Cout group
+    per phase, taps reversed, each written into its strided view of the
+    output (depth-to-space). A phase kernel with taps along one axis only,
+    handed a transposed view, runs on the plane the view lies in, where the
+    engines sum its taps in the same order, and returns a transposed view;
+    the stack and the engines read any other view as any input.
+    """
+    axes = [_phase_axis(*axis, spec.transposed) for axis in zip(
+        x.shape[2:], spec.kernel, spec.stride, spec.dilation, spec.padding,
+        conv_out_shape(x.shape[2:], spec))]
+    # phase (rh, rw) is channel group order[rh, rw] of the stack, row-major on
+    # the spec's plane, so that on both planes each GEMM sums alike
+    order = np.arange(spec.stride[0] * spec.stride[1]).reshape(spec.stride)
+    flip = (axes[0][0] > 1) != (axes[1][0] > 1) and _transposed_view(x)
     if flip:
-        full = np.zeros((b_, cout, cols, rows), dtype=dtype).transpose(0, 1, 3, 2)
+        x, w, axes, order = x.transpose(0, 1, 3, 2), w.transpose(0, 1, 3, 2), axes[::-1], order.T
+    (kh, dh, taps_h, ph, eh, moves_h), (kw, dw, taps_w, pw, ew, moves_w) = axes
+    plain = w.transpose(1, 0, 2, 3) if spec.transposed else w  # (Cout, Cin, kh, kw)
+    cout, cin = plain.shape[:2]
+    w2 = np.zeros((order.size, cout, cin, kh, kw), dtype=w.dtype)  # per group, (Cout, Cin) taps
+    for (i, (rh, a)), (j, (rw, c)) in itertools.product(enumerate(taps_h), enumerate(taps_w)):
+        w2[order[rh, rw], :, :, a, c] = plain[:, :, i, j]
+    groups = [(order[rh, rw], mh, mw) for (rh, mh), (rw, mw)
+              in itertools.product(enumerate(moves_h), enumerate(moves_w))]
+    if spec.transposed:
+        w2, xs, bias = w2.reshape(-1, cin, kh, kw), x, None if b is None else np.tile(b, order.size)
     else:
-        full = np.zeros((b_, cout, rows, cols), dtype=dtype)
-    taps = w.transpose(2, 3, 1, 0).reshape(kh * kw, cout, cin)
-    xf = np.ascontiguousarray(x.transpose(0, 1, 3, 2) if flip else x).reshape(b_, cin, h * wid)
-    part = np.empty((b_, cout, h * wid), dtype=dtype)
-    part4 = _unflat(part, h, wid, flip)
-    for k, tap in enumerate(taps):
-        i, j = divmod(k, kw)
-        np.matmul(tap, xf, out=part)
-        full[:, :, i * dh : i * dh + (h - 1) * sh + 1 : sh,
-             j * dw : j * dw + (wid - 1) * sw_ + 1 : sw_] += part4
-    out = full[:, :, ph : ph + ho, pw : pw + wo]
-    if b is not None:
-        out += b[:, None, None]
-    return out
+        w2, bias = w2.transpose(1, 0, 2, 3, 4).reshape(cout, -1, kh, kw), b
+        xs = np.zeros((x.shape[0], order.size * cin, eh, ew), dtype=x.dtype)
+        for g, (dst_h, src_h), (dst_w, src_w) in groups:
+            xs[:, g * cin : (g + 1) * cin, dst_h, dst_w] = x[:, :, src_h, src_w]
+    conv = _conv_rows if _runs_rows(w2.shape, spec) else _conv_flat
+    out = conv(xs, w2, bias, (dh, dw), (ph, pw))
+    if spec.transposed:
+        # the output keeps the axis order of the phase maps it interleaves
+        phases, out = out, np.empty_like(out, shape=(x.shape[0], cout, eh, ew))
+        for g, (dst_h, src_h), (dst_w, src_w) in groups:
+            out[:, :, dst_h, dst_w] = phases[:, g * cout : (g + 1) * cout, src_h, src_w]
+    elif not out.flags.c_contiguous:
+        # compacted on the plane it ran on: the critic's norms and PReLUs and
+        # the embed after `down_f` run 1.1-2x slower on a cropped or turned map
+        out = np.ascontiguousarray(out)
+    return out.transpose(0, 1, 3, 2) if flip else out
 
 
-def _conv_strided(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-                  spec: ConvSpec) -> np.ndarray:
-    """Single-group strided correlation: one GEMM per kernel tap over that
-    tap's strided view of the padded input. A transposed view is padded,
-    gathered and multiplied on the (B, C, W, H) plane it lies in, and its
-    result is returned as a transposed view too."""
-    b_, cin, h, wid = x.shape
-    cout, (kh, kw) = w.shape[0], spec.kernel
-    sh, sw_ = spec.stride
-    dh, dw = spec.dilation
-    ph, pw = spec.padding
-    ho, wo = conv_out_shape((h, wid), spec)
-    flip = _transposed_view(x)
-    xp = x
-    if flip and (ph or pw):
-        xp = zero_pad(x.transpose(0, 1, 3, 2), (pw, pw), (ph, ph)).transpose(0, 1, 3, 2)
-    elif ph or pw:
-        xp = zero_pad(x, (ph, ph), (pw, pw))
-    taps = w.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin)
-    acc = np.empty((b_, cout, ho * wo), dtype=_acc_dtype(x, w, b))
-    part = np.empty_like(acc)
-    xs = np.empty((b_, cin, ho * wo), dtype=x.dtype)  # one tap's inputs, gathered
-    xs4 = _unflat(xs, ho, wo, flip)
-    for k, tap in enumerate(taps):
-        i, j = divmod(k, kw)
-        xs4[...] = xp[:, :, i * dh : i * dh + (ho - 1) * sh + 1 : sh,
-                      j * dw : j * dw + (wo - 1) * sw_ + 1 : sw_]
-        np.matmul(tap, xs, out=part if k else acc)
-        if k:
-            acc += part
-    if b is not None:
-        acc += b[:, None]
-    return _unflat(acc, ho, wo, flip)
+def _phase_axis(n: int, k: int, s: int, d: int, p: int, size: int, transposed: bool):
+    """One axis (input extent n, output extent `size`) of a strided or
+    transposed conv, split into its s phases: the phase kernel's length and
+    dilation (d // s where s divides d, else 1), each tap's (phase,
+    position), the phase conv's padding, the extent of the stack (strided)
+    or of the output (transposed), and per phase the (destination, source)
+    slices of the rows it copies into the stack or the output."""
+    dil = d // s if d % s == 0 else 1
+    reach = (k - 1) * d // s  # offset of the last tap
+    taps = [(i * d % s, (reach - i * d // s if transposed else i * d // s) // dil)
+            for i in range(k)]
+    pad = max(reach, -(-(p + size) // s) - n) if transposed else 0
+    moves = []
+    for r in range(s):
+        # row j0 of the input (strided) or output (transposed) is the first
+        # of phase r, row q of that phase: padded row q*s + r
+        j0 = (r - p) % s
+        q = (j0 + p) // s
+        if transposed:  # row q of phase r is row q + pad - reach of its conv
+            q += pad - reach
+            moves.append((slice(j0, None, s), slice(q, q + len(range(j0, size, s)))))
+        else:
+            rows = max(0, min(len(range(j0, n, s)), size + reach - q))
+            moves.append((slice(q, q + rows), slice(j0, j0 + s * rows, s)))
+    return reach // dil + 1, dil, taps, pad, size if transposed else size + reach, moves
 
 
 def _transposed_view(x: np.ndarray) -> bool:
     """Whether x's H axis, not its W axis, has unit stride: a (B, C, H, W)
     view of a (B, C, W, H) plane, as the transposed dense stacks return."""
     return x.strides[2] == x.itemsize != x.strides[3]
-
-
-def _unflat(a: np.ndarray, h: int, w: int, flip: bool) -> np.ndarray:
-    """The (B, C, H, W) view of a (B, C, H*W) array, whose last axis runs
-    over (W, H) when `flip`."""
-    b, c = a.shape[:2]
-    return a.reshape(b, c, w, h).transpose(0, 1, 3, 2) if flip else a.reshape(b, c, h, w)
 
 
 def _check_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> int:
@@ -424,23 +425,21 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -
     Plain weights have shape (Cout, Cin/groups, kh, kw); transposed
     weights use (Cin, Cout, kh, kw). `groups` is 1, or Cin = Cout for a
     stride-1 depthwise conv; any other value raises `InvalidSpecError`.
-    Dense stride-1 convs with more than one tap and at least
-    _ROW_MIN_PAIRS Cout·Cin pairs run one GEMM per output row
-    (`_conv_rows`). Every other conv runs one GEMM (or, depthwise, one
-    scalar multiply per channel) per kernel tap: stride-1 convs over the
-    flattened padded plane, strided convs over each tap's strided view,
-    and transposed convs scattered into strided views of the output. Each
-    path adds the bias into its own accumulator, and the result may be a
-    view of that fresh accumulator.
+    Two engines run every conv at stride 1: dense convs with more than one
+    tap and at least _ROW_MIN_PAIRS Cout·Cin pairs run one GEMM per row
+    block (`_conv_rows`), every other conv one GEMM (or, depthwise, one
+    scalar multiply per channel) per kernel tap over the flattened padded
+    plane (`_conv_flat`). A strided or transposed conv is one relayout
+    into a stride-1 conv over the phases of its stride (`_resample`).
+    Each engine adds the bias into its own accumulator, and the result may
+    be a view of that fresh accumulator.
     """
     macs = _check_conv(x, w, b, spec)
-    if spec.transposed:
-        out = _conv_scatter(x, w, b, spec)
-    elif spec.stride == (1, 1):
+    if spec.transposed or spec.stride != (1, 1):
+        out = _resample(x, w, b, spec)
+    else:
         conv = _conv_rows if _runs_rows(w.shape, spec) else _conv_flat
         out = conv(x, w, b, spec.dilation, spec.padding)
-    else:
-        out = _conv_strided(x, w, b, spec)
     add_macs(macs)
     return out
 
@@ -449,7 +448,7 @@ def _runs_rows(wshape: tuple[int, ...], spec: ConvSpec) -> bool:
     """Whether a stride-1 conv with weights of shape `wshape` runs
     row-blocked: dense, more than one tap, and at least _ROW_MIN_PAIRS
     Cout·Cin weight pairs per tap."""
-    return (spec.groups == 1 and spec.kernel != (1, 1)
+    return (spec.groups == 1 and wshape[2:] != (1, 1)
             and wshape[0] * wshape[1] >= _ROW_MIN_PAIRS)
 
 
@@ -529,27 +528,25 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 def prelu(x: np.ndarray, a, out: np.ndarray | None = None) -> np.ndarray:
-    """x for x >= 0, a*x otherwise, on a (B, C, T, F) map with (C,) slopes.
-    The result goes to `out` when given (x itself included), else to a new
-    array; an `out` that shares no memory with x takes no temporary."""
+    """x for x >= 0, a*x otherwise, on a (B, C, T, F) map with (C,) slopes,
+    into `out` when given (x itself, or an array sharing no memory with x,
+    which takes no temporary), else into a new array. The select is, bit
+    for bit, max(a*x, x) for a < 0 and 0 < a <= 1 and min(x, a*x) for
+    a > 1, one ufunc per slope class; a = 0 (inf * 0 is NaN) takes np.where."""
     if x.ndim != 4:
         raise ShapeError(f"prelu expects a (B, C, T, F) map, got shape {x.shape}")
     _check_channels("prelu", x, a=a)
     a = np.asarray(a, dtype=x.dtype).reshape(-1, 1, 1)
-    if np.all((a > 0) & (a <= 1)):
-        # for 0 < a <= 1 the larger of x and a*x is the select, bit for bit
-        # (signed zeros, infinities and NaN included), and runs ≈4x faster
-        # per call than np.where or the masked multiply below
-        if out is None or np.may_share_memory(x, out):
-            return np.maximum(x, x * a, out=out)
-        np.multiply(x, a, out=out)
-        return np.maximum(x, out, out=out)
-    neg = x < 0  # taken before out, which may be x, is written
-    if out is None:
-        out = x.copy()
-    elif out is not x:
-        np.copyto(out, x)
-    return np.multiply(out, a, out=out, where=neg)
+    with np.errstate(over="ignore"):  # for |a| > 1, as in the select's own a*x
+        ax = x * a if out is None or np.may_share_memory(x, out) else np.multiply(x, a, out=out)
+    out = ax if out is None else out
+    low, high = (a != 0) & (a <= 1), a > 1
+    if low.all():
+        return np.maximum(ax, x, out=out)
+    for c in np.flatnonzero(~(low | high)):
+        out[:, c] = np.where(x[:, c] >= 0, x[:, c], ax[:, c])
+    np.maximum(ax, x, out=out, where=low)
+    return np.minimum(x, ax, out=out, where=high)
 
 
 def lsigmoid(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:

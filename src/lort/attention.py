@@ -54,10 +54,9 @@ def softmax_attention(ain: AttentionInput) -> np.ndarray:
     return np.einsum("hij,hjd->hid", weights, v)
 
 
-def _normalize_cols(x: np.ndarray) -> np.ndarray:
-    """x (H, Dh, N) with each of its N columns L2-normalized."""
-    norms = np.sqrt(np.einsum("hdn,hdn->hn", x, x))
-    return x / np.maximum(norms, 1e-30)[:, None, :]
+def _col_norms(x: np.ndarray) -> np.ndarray:
+    """The (H, 1, N) L2 norms of the N columns of x (H, Dh, N), at least 1e-30."""
+    return np.maximum(np.sqrt(np.einsum("hdn,hdn->hn", x, x)), 1e-30)[:, None, :]
 
 
 def taylor_attention(ain: AttentionInput, normalize: bool = True) -> np.ndarray:
@@ -72,13 +71,16 @@ def taylor_attention(ain: AttentionInput, normalize: bool = True) -> np.ndarray:
     h, n, dh = ain.q.shape
     q, k, v = (a.transpose(0, 2, 1) for a in (ain.q, ain.k, ain.v))
     if normalize:
-        q = _normalize_cols(q)
-        k = _normalize_cols(k)
+        k = k / _col_norms(k)
     k_sum = k.sum(axis=2, keepdims=True)        # (H, Dh, 1)
     v_sum = v.sum(axis=2, keepdims=True)        # (H, Dh, 1)
     num = v @ k.transpose(0, 2, 1) @ q          # (H, Dh, N)
-    num += v_sum
     den = k_sum.transpose(0, 2, 1) @ q          # (H, 1, N)
+    if normalize:  # q's norms fold into the quotient: no normalized q is made
+        inv = 1.0 / _col_norms(q)
+        num *= inv
+        den *= inv
+    num += v_sum
     den += n
     if den.min() < 1e-6:
         raise DegenerateAttentionError(

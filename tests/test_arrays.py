@@ -21,8 +21,9 @@ from lort.arrays import (
 from lort.errors import InvalidParameterError, InvalidSpecError, ShapeError
 
 
-def conv2d_reference(x, w, b, spec):
-    """Nested-loop cross-correlation oracle (non-transposed)."""
+def conv2d_loops(x, w, b, spec):
+    """Nested-loop cross-correlation oracle (non-transposed), independent of
+    the window-view `oracles.conv2d_reference`."""
     bsz, cin, h, wid = x.shape
     cout, cin_g, kh, kw = w.shape
     g = spec.groups
@@ -59,7 +60,7 @@ def test_conv2d_matches_nested_loop_oracle(spec, cin, cout):
     x = rng.standard_normal((2, cin, 9, 8))
     w = rng.standard_normal((cout, cin // spec.groups, *spec.kernel))
     b = rng.standard_normal(cout)
-    npt.assert_allclose(conv2d(x, w, b, spec), conv2d_reference(x, w, b, spec),
+    npt.assert_allclose(conv2d(x, w, b, spec), conv2d_loops(x, w, b, spec),
                         rtol=1e-12, atol=1e-12)
 
 
@@ -258,7 +259,8 @@ def test_prelu_out_matches_where_form(a):
     rng = np.random.default_rng(11)
     x = rng.standard_normal((2, 3, 6, 5))
     x[0, :, 0, :5] = [np.nan, np.inf, -np.inf, -0.0, 0.0]
-    with np.errstate(invalid="ignore"):  # a = 0 times inf
+    x[0, :, 1, :5] = [5e-324, -5e-324, 1e308, -1e308, -np.nan]
+    with np.errstate(invalid="ignore", over="ignore"):  # a = 0 times inf, |a| > 1 times 1e308
         want = where_prelu(x, a)
         assert_same_bits(prelu(x, np.array(a)), want)
         y = x.copy()

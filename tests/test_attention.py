@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -50,6 +52,24 @@ def test_taylor_on_head_views_of_channel_major_maps():
     assert got.shape == want.shape == (3, 35, 8)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert got.transpose(0, 2, 1).flags.c_contiguous
+
+
+def test_taylor_makes_no_normalized_copy_of_q():
+    """q's norms scale the two products of the raw q, so beside its result
+    a call holds the normalized k and small (H, 1, N) and (H, Dh, Dh)
+    temporaries: at most 2.5 (H, Dh, N) arrays at its peak, where
+    normalizing q as well took about 3."""
+    rng = np.random.default_rng(6)
+    q, k, v = (rng.standard_normal((4, 12, 10240)).transpose(0, 2, 1) for _ in range(3))
+    ain = AttentionInput(q, k, v)
+    taylor_attention(ain)
+    tracemalloc.start()
+    try:
+        taylor_attention(ain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * q.nbytes, peak / q.nbytes
 
 
 def test_unnormalized_integer_taylor_divides_like_floats():

@@ -1,10 +1,10 @@
-"""The per-tap conv2d paths against the window-view oracle `conv2d_reference`.
+"""The conv2d paths against the window-view oracle `conv2d_reference`.
 
-The oracle contracts a sliding-window (im2col) view per group, and runs a
-transposed conv as a stride-1 correlation of the zero-stuffed input with
-the flipped kernel, then adds the bias. It shares only the operand checks
-with `lort.arrays.conv2d`, so it checks every path's arithmetic, bias add
-included, independently.
+The oracle (in `oracles.py`) contracts a sliding-window (im2col) view per
+group, and runs a transposed conv as a stride-1 correlation of the
+zero-stuffed input with the flipped kernel, then adds the bias. It shares
+only the operand checks with `lort.arrays.conv2d`, so it checks every
+path's arithmetic, bias add included, independently.
 Specs are drawn from a seeded generator so every run checks the same cases.
 """
 import tracemalloc
@@ -13,124 +13,17 @@ import numpy as np
 import pytest
 
 from lort import arrays, layers, model
-from lort.arrays import ConvSpec, FlopMeter, _check_conv, add_macs, conv2d, same_pad
+from lort.arrays import ConvSpec, FlopMeter, conv2d, same_pad
 from lort.errors import InvalidSpecError
 from lort.layers import init_store
 from lort.objectives import discriminate
 from lort.signal import Waveform
 from lort.verify import micro_config
 from lort.weights import WeightStore
+from oracles import conv2d_reference
 
 RTOL = 1e-12
 
-# Cap on elements of a single im2col temporary (keeps peak memory bounded).
-_CHUNK_ELEMS = 8_000_000
-
-
-def _windows(xp: np.ndarray, kernel, stride, dilation) -> np.ndarray:
-    """Strided view of shape (B, C, Ho, Wo, kh, kw); no copy."""
-    kh, kw = kernel
-    dh, dw = dilation
-    eh = dh * (kh - 1) + 1
-    ew = dw * (kw - 1) + 1
-    if xp.shape[2] < eh or xp.shape[3] < ew:
-        raise InvalidSpecError(
-            f"effective kernel ({eh}, {ew}) exceeds padded input {xp.shape[2:]}"
-        )
-    sw = np.lib.stride_tricks.sliding_window_view(xp, (eh, ew), axis=(2, 3))
-    return sw[:, :, :: stride[0], :: stride[1], ::dh, ::dw]
-
-
-def _conv_group(x: np.ndarray, w: np.ndarray, stride, dilation, padding) -> np.ndarray:
-    """Single-group cross-correlation via chunked window contraction."""
-    ph, pw = padding
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-    win = _windows(xp, w.shape[2:], stride, dilation)
-    b_, c, ho, wo, kh, kw = win.shape
-    out = np.empty((b_, ho, wo, w.shape[0]), dtype=x.dtype)
-    row_elems = max(1, b_ * wo * c * kh * kw)
-    step = max(1, _CHUNK_ELEMS // row_elems)
-    for h0 in range(0, ho, step):
-        h1 = min(h0 + step, ho)
-        block = win[:, :, h0:h1]
-        out[:, h0:h1] = np.tensordot(block, w, axes=([1, 4, 5], [1, 2, 3]))
-    return np.moveaxis(out, 3, 1)
-
-
-def _conv_windows(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Grouped cross-correlation, one window contraction per group."""
-    g = spec.groups
-    if g == 1:
-        return _conv_group(x, w, spec.stride, spec.dilation, spec.padding)
-    cin_g, cout_g = w.shape[1], w.shape[0] // g
-    parts = [
-        _conv_group(
-            x[:, i * cin_g : (i + 1) * cin_g],
-            w[i * cout_g : (i + 1) * cout_g],
-            spec.stride,
-            spec.dilation,
-            spec.padding,
-        )
-        for i in range(g)
-    ]
-    return np.concatenate(parts, axis=1)
-
-
-def _conv_zero_stuffed(x: np.ndarray, w: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Transposed conv as a stride-1 correlation of the zero-stuffed input
-    with the flipped kernel, one group at a time."""
-    g = spec.groups
-    cin_g = w.shape[0] // g
-    sh, sw_ = spec.stride
-    dh, dw = spec.dilation
-    kh, kw = spec.kernel
-    parts = []
-    for i in range(g):
-        xg = x[:, i * cin_g : (i + 1) * cin_g]
-        wg = w[i * cin_g : (i + 1) * cin_g]
-        b_, c, h, wid = xg.shape
-        xi = np.zeros(
-            (b_, c, (h - 1) * sh + 1 + spec.out_pad[0], (wid - 1) * sw_ + 1 + spec.out_pad[1]),
-            dtype=x.dtype,
-        )
-        xi[:, :, :: sh, :: sw_][:, :, :h, :wid] = xg
-        # gradient-of-conv form: full correlation with the flipped kernel
-        pe_h = dh * (kh - 1) - spec.padding[0]
-        pe_w = dw * (kw - 1) - spec.padding[1]
-        wf = wg[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        out = _conv_group(
-            np.pad(
-                xi,
-                (
-                    (0, 0),
-                    (0, 0),
-                    (max(pe_h, 0), max(pe_h, 0)),
-                    (max(pe_w, 0), max(pe_w, 0)),
-                ),
-            ),
-            wf,
-            (1, 1),
-            spec.dilation,
-            (0, 0),
-        )
-        ch = max(-pe_h, 0)
-        cw = max(-pe_w, 0)
-        if ch or cw:
-            out = out[:, :, ch : out.shape[2] - ch or None, cw : out.shape[3] - cw or None]
-        parts.append(out)
-    return np.concatenate(parts, axis=1) if g > 1 else parts[0]
-
-
-def conv2d_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-                     spec: ConvSpec) -> np.ndarray:
-    """Oracle for `conv2d`: window-view (im2col) contraction per group, and
-    transposed convs on the zero-stuffed input. Same contract and MAC count."""
-    macs = _check_conv(x, w, b, spec)
-    out = _conv_zero_stuffed(x, w, spec) if spec.transposed else _conv_windows(x, w, spec)
-    add_macs(macs)
-    if b is not None:
-        out = out + b.reshape(1, -1, 1, 1)
-    return out
 
 
 def assert_matches_reference(x, w, b, spec):

@@ -13,6 +13,7 @@ from lort.layers import Conv, DenseStack, Layer, Norm, Param, PRelu, init_store
 from lort.local_refine import Lrc
 from lort.model import Encoder, ModelConfig, dilated_dense
 from lort.verify import make_toy_task, micro_config
+from oracles import dense_concat
 
 
 class Toy(Layer):
@@ -53,19 +54,6 @@ def test_only_leaves_define_a_manifest():
 def test_manifest_of_is_gone():
     assert not hasattr(lort.layers, "manifest_of")
     assert "manifest_of" not in lort.layers.__all__
-
-
-def dense_concat(stack, ws, x):
-    """Oracle of `DenseStack`: each layer runs on the channel concat of the
-    stack input and every earlier output, each conv at its own padding."""
-    feats = [x]
-    z = x
-    for layer in stack.layers:
-        z = np.concatenate(feats, axis=1) if len(feats) > 1 else x
-        for sub in layer:
-            z = sub(ws, z)
-        feats.append(z)
-    return z
 
 
 def stacks():

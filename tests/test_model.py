@@ -38,6 +38,7 @@ from lort.attention import AttentionInput
 from lort.local_refine import Dlc, Lrc
 from lort.objectives import LossWeights, discriminate
 from lort.verify import SpsaConfig, micro_config, table2_trend
+from oracles import bilinear_dsdcn_oracle, full_map_dsdcn
 from lort.signal import Waveform, decompose, istft, recompose, snr_db, stft
 from lort.weights import WeightStore
 
@@ -408,40 +409,6 @@ def test_dsdcn_nonzero_offsets_change_the_output():
     assert np.all(np.isfinite(got))
 
 
-def bilinear_dsdcn_oracle(ws, x, off, name="embed"):
-    """Deformable depthwise conv, one bilinear sample at a time, then the
-    pointwise conv; samples outside the plane read zero."""
-    b, c, t, f = x.shape
-    w, bias = ws[f"{name}.depthwise.w"], ws[f"{name}.depthwise.b"]
-
-    def pixel(i, ch, y, z):
-        inside = 0 <= y < t and 0 <= z < f
-        return x[i, ch, y, z] if inside else 0.0
-
-    dw = np.zeros_like(x)
-    outside = 0
-    for i in range(b):
-        for ch in range(c):
-            for y in range(t):
-                for z in range(f):
-                    acc = 0.0
-                    for m in range(9):
-                        a, cc = divmod(m, 3)
-                        pt = y + a - 1 + off[i, 2 * m, y, z]
-                        pf = z + cc - 1 + off[i, 2 * m + 1, y, z]
-                        y0, z0 = math.floor(pt), math.floor(pf)
-                        wy, wz = pt - y0, pf - z0
-                        outside += not (0 <= y0 and y0 + 1 < t and 0 <= z0 and z0 + 1 < f)
-                        sample = ((1 - wy) * (1 - wz) * pixel(i, ch, y0, z0)
-                                  + (1 - wy) * wz * pixel(i, ch, y0, z0 + 1)
-                                  + wy * (1 - wz) * pixel(i, ch, y0 + 1, z0)
-                                  + wy * wz * pixel(i, ch, y0 + 1, z0 + 1))
-                        acc += w[ch, 0, a, cc] * sample
-                    dw[i, ch, y, z] = acc + bias[ch]
-    pw = np.einsum("oc,bctf->botf", ws[f"{name}.pointwise.w"][:, :, 0, 0], dw)
-    return pw + ws[f"{name}.pointwise.b"][:, None, None], outside
-
-
 def test_dsdcn_batch_matches_a_per_pixel_bilinear_oracle():
     c = 3
     layer = Dsdcn("embed", c)
@@ -455,39 +422,6 @@ def test_dsdcn_batch_matches_a_per_pixel_bilinear_oracle():
     want, outside = bilinear_dsdcn_oracle(ws, x, off)
     assert 0 < outside < 2 * c * 6 * 5 * 9
     npt.assert_allclose(layer(ws, x), want, rtol=1e-12, atol=1e-14)
-
-
-def full_map_dsdcn(layer, ws, x):
-    """The deformable embed in one pass over full maps: each tap's indices,
-    weights and gathered corners span every row of a (B*T*F, C) plane.
-    The row-blocked `Dsdcn` must match it bit for bit."""
-    b, c, t, f = x.shape
-    k = layer.K
-    off = layer.offset(ws, x).reshape(b, k * k, 2, t, f)
-    w = ws[layer.dw_w.name]
-    plane = x.transpose(0, 2, 3, 1).reshape(b * t * f, c)
-    items = np.arange(b)[:, None, None] * (t * f)
-    gt = np.arange(t, dtype=off.dtype)[:, None]
-    gf = np.arange(f, dtype=off.dtype)
-    acc = np.zeros((b * t * f, c), dtype=np.result_type(x, w))
-    for m in range(k * k):
-        a, cc = divmod(m, k)
-        pt = gt + (a - 1) + off[:, m, 0]
-        pf = gf + (cc - 1) + off[:, m, 1]
-        t0 = np.floor(pt).astype(np.int64)
-        f0 = np.floor(pf).astype(np.int64)
-        rows_t, wts_t = model_module._axis_taps(t0, pt - t0, t)
-        rows_f, wts_f = model_module._axis_taps(f0, pf - f0, f)
-        tap = np.zeros_like(acc)
-        for rt, wtt in zip(rows_t, wts_t):
-            for rf, wtf in zip(rows_f, wts_f):
-                corner = np.take(plane, (items + rt * f + rf).ravel(), axis=0)
-                corner *= (wtt * wtf).reshape(-1, 1)
-                tap += corner
-        tap *= w[:, 0, a, cc]
-        acc += tap
-    out = np.add(acc.T, ws[layer.dw_b.name][:, None], order="C")
-    return layer.pw(ws, out.reshape(c, b, t, f).transpose(1, 0, 2, 3))
 
 
 def shifted_embed(c, seed):

@@ -31,6 +31,7 @@ from lort.signal import (
     stft,
     write_wav,
 )
+from oracles import overlap_add_per_frame
 
 
 def make_noise(n, seed=0, scale=0.25):
@@ -374,15 +375,6 @@ def test_spectrum_surface_is_pinned():
     assert list(inspect.signature(stft).parameters) == ["x", "fft_len", "win_len", "hop"]
     assert list(inspect.signature(invertible).parameters) == ["win_len", "hop"]
     assert not hasattr(signal, "MagPhase") and not hasattr(lort, "MagPhase")
-
-
-def overlap_add_per_frame(frames, hop):
-    """Oracle of `signal._overlap_add`: one add per frame, frame order."""
-    t, n = frames.shape
-    out = np.zeros((t - 1) * hop + n)
-    for m in range(t):
-        out[m * hop : m * hop + n] += frames[m]
-    return out
 
 
 @pytest.mark.parametrize("t,n,hop", [(9, 64, 16), (9, 70, 16), (5, 33, 33), (1, 64, 16),
