@@ -6,6 +6,7 @@ set only at the boundary, by `Waveform`, `ComplexSpec` and `WeightStore`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -142,9 +143,10 @@ def _conv_flat(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
     i*dh*pitch + j*dw, so each tap is a single GEMM (dense), or per
     channel a scalar multiply (depthwise, w of shape (C, 1, kh, kw)), into
     a (B, Cout, Ho*pitch) accumulator whose pitch - Wo extra columns are
-    cropped at the end. At padding 0 an input with unit-stride rows, such
-    as a window of a larger zero-bordered buffer, is read in place at that
-    buffer's pitch; otherwise the one padded (or contiguous) copy is made.
+    cropped by one copy (the norms, PReLUs and embed after a conv run 2-3x
+    slower on a cropped view). At padding 0 an input with unit-stride rows,
+    such as a window of a larger zero-bordered buffer, is read in place at
+    that buffer's pitch; otherwise the one padded (or contiguous) copy is made.
     """
     kh, kw = w.shape[2:]
     if kh == 1 < kw or kh == kw == 1 and _transposed_view(x):
@@ -182,23 +184,24 @@ def _conv_flat(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
                 dst += np.multiply(xf[:, c, off : off + span], tap, out=tmp)
             if b is not None:
                 dst += b[c]
-        return acc.reshape(b_, cout, ho, pitch)[:, :, :, :wo]
-    taps = w.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin)
-    # Column chunks keep the per-tap temporary small and the accumulator
-    # block cache-resident across taps.
-    step = max(1, _TAP_ELEMS // max(1, b_ * cout))
-    tmp = np.empty((b_, cout, min(step, span)), dtype=acc.dtype)
-    for c0 in range(0, span, step):
-        c1 = min(c0 + step, span)
-        dst = acc[:, :, c0:c1]
-        np.matmul(taps[0], xf[:, :, offsets[0] + c0 : offsets[0] + c1], out=dst)
-        for tap, off in zip(taps[1:], offsets[1:]):
-            part = tmp[:, :, : c1 - c0]
-            np.matmul(tap, xf[:, :, off + c0 : off + c1], out=part)
-            dst += part
-        if b is not None:
-            dst += b[:, None]
-    return acc.reshape(b_, cout, ho, pitch)[:, :, :, :wo]
+    else:
+        taps = w.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin)
+        # Column chunks keep the per-tap temporary small and the accumulator
+        # block cache-resident across taps.
+        step = max(1, _TAP_ELEMS // max(1, b_ * cout))
+        tmp = np.empty((b_, cout, min(step, span)), dtype=acc.dtype)
+        for c0 in range(0, span, step):
+            c1 = min(c0 + step, span)
+            dst = acc[:, :, c0:c1]
+            np.matmul(taps[0], xf[:, :, offsets[0] + c0 : offsets[0] + c1], out=dst)
+            for tap, off in zip(taps[1:], offsets[1:]):
+                part = tmp[:, :, : c1 - c0]
+                np.matmul(tap, xf[:, :, off + c0 : off + c1], out=part)
+                dst += part
+            if b is not None:
+                dst += b[:, None]
+    out = acc.reshape(b_, cout, ho, pitch)
+    return out if wo == pitch else out[:, :, :, :wo].copy()
 
 
 def _conv_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
@@ -318,13 +321,12 @@ def _resample(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec
     over the s_h*s_w phases of its stride (sub-pixel convolution; Shi et
     al., arXiv:1609.05158), whose phase kernels hold tap i at phase i*d % s
     and offset i*d // s, and zeros elsewhere. Strided: the phases of the
-    padded input are stacked as channels in one copy (space-to-depth).
-    Transposed: the conv of the zero-bordered input makes one Cout group
-    per phase, taps reversed, each written into its strided view of the
-    output (depth-to-space). A phase kernel with taps along one axis only,
-    handed a transposed view, runs on the plane the view lies in, where the
-    engines sum its taps in the same order, and returns a transposed view;
-    the stack and the engines read any other view as any input.
+    padded input are stacked as channels in one copy (space-to-depth), on
+    the transposed plane for taps along W only, which the result keeps.
+    Transposed: the conv of the zero-bordered input makes
+    one Cout group per phase, taps reversed, each written into its strided
+    view of the output (depth-to-space); with taps along one axis only, a
+    transposed view runs and returns on the plane it lies in.
     """
     axes = [_phase_axis(*axis, spec.transposed) for axis in zip(
         x.shape[2:], spec.kernel, spec.stride, spec.dilation, spec.padding,
@@ -332,16 +334,17 @@ def _resample(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec
     # phase (rh, rw) is channel group order[rh, rw] of the stack, row-major on
     # the spec's plane, so that on both planes each GEMM sums alike
     order = np.arange(spec.stride[0] * spec.stride[1]).reshape(spec.stride)
-    flip = (axes[0][0] > 1) != (axes[1][0] > 1) and _transposed_view(x)
+    along_h, along_w = axes[0][0] > 1, axes[1][0] > 1
+    view = _transposed_view(x)
+    flip = along_h != along_w and view if spec.transposed else along_w > along_h
     if flip:
         x, w, axes, order = x.transpose(0, 1, 3, 2), w.transpose(0, 1, 3, 2), axes[::-1], order.T
-    (kh, dh, taps_h, ph, eh, moves_h), (kw, dw, taps_w, pw, ew, moves_w) = axes
+    (kh, dh, (rh, ah), ph, eh, moves_h), (kw, dw, (rw, aw), pw, ew, moves_w) = axes
     plain = w.transpose(1, 0, 2, 3) if spec.transposed else w  # (Cout, Cin, kh, kw)
     cout, cin = plain.shape[:2]
     w2 = np.zeros((order.size, cout, cin, kh, kw), dtype=w.dtype)  # per group, (Cout, Cin) taps
-    for (i, (rh, a)), (j, (rw, c)) in itertools.product(enumerate(taps_h), enumerate(taps_w)):
-        w2[order[rh, rw], :, :, a, c] = plain[:, :, i, j]
-    groups = [(order[rh, rw], mh, mw) for (rh, mh), (rw, mw)
+    w2[order[rh[:, None], rw], :, :, ah[:, None], aw] = plain.transpose(2, 3, 0, 1)
+    groups = [(order[i, j], mh, mw) for (i, mh), (j, mw)
               in itertools.product(enumerate(moves_h), enumerate(moves_w))]
     if spec.transposed:
         w2, xs, bias = w2.reshape(-1, cin, kh, kw), x, None if b is None else np.tile(b, order.size)
@@ -350,31 +353,28 @@ def _resample(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec
         xs = np.zeros((x.shape[0], order.size * cin, eh, ew), dtype=x.dtype)
         for g, (dst_h, src_h), (dst_w, src_w) in groups:
             xs[:, g * cin : (g + 1) * cin, dst_h, dst_w] = x[:, :, src_h, src_w]
-    conv = _conv_rows if _runs_rows(w2.shape, spec) else _conv_flat
-    out = conv(xs, w2, bias, (dh, dw), (ph, pw))
+    out = _conv_flat(xs, w2, bias, (dh, dw), (ph, pw))
     if spec.transposed:
         # the output keeps the axis order of the phase maps it interleaves
         phases, out = out, np.empty_like(out, shape=(x.shape[0], cout, eh, ew))
         for g, (dst_h, src_h), (dst_w, src_w) in groups:
             out[:, :, dst_h, dst_w] = phases[:, g * cout : (g + 1) * cout, src_h, src_w]
-    elif not out.flags.c_contiguous:
-        # compacted on the plane it ran on: the critic's norms and PReLUs and
-        # the embed after `down_f` run 1.1-2x slower on a cropped or turned map
-        out = np.ascontiguousarray(out)
     return out.transpose(0, 1, 3, 2) if flip else out
 
 
+@functools.lru_cache
 def _phase_axis(n: int, k: int, s: int, d: int, p: int, size: int, transposed: bool):
     """One axis (input extent n, output extent `size`) of a strided or
-    transposed conv, split into its s phases: the phase kernel's length and
-    dilation (d // s where s divides d, else 1), each tap's (phase,
-    position), the phase conv's padding, the extent of the stack (strided)
-    or of the output (transposed), and per phase the (destination, source)
-    slices of the rows it copies into the stack or the output."""
+    transposed conv, split into its s phases (cached: a layer sees the same
+    shapes on every call): the phase kernel's length and dilation (d // s
+    where s divides d, else 1), the (phase, position) arrays of its k taps,
+    the phase conv's padding, the extent of the stack (strided) or output
+    (transposed), and per phase the (destination, source) slices of the
+    rows it copies into the stack or the output."""
     dil = d // s if d % s == 0 else 1
     reach = (k - 1) * d // s  # offset of the last tap
-    taps = [(i * d % s, (reach - i * d // s if transposed else i * d // s) // dil)
-            for i in range(k)]
+    i = np.arange(k) * d
+    taps = i % s, (reach - i // s if transposed else i // s) // dil
     pad = max(reach, -(-(p + size) // s) - n) if transposed else 0
     moves = []
     for r in range(s):
@@ -425,14 +425,12 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -
     Plain weights have shape (Cout, Cin/groups, kh, kw); transposed
     weights use (Cin, Cout, kh, kw). `groups` is 1, or Cin = Cout for a
     stride-1 depthwise conv; any other value raises `InvalidSpecError`.
-    Two engines run every conv at stride 1: dense convs with more than one
-    tap and at least _ROW_MIN_PAIRS Cout·Cin pairs run one GEMM per row
-    block (`_conv_rows`), every other conv one GEMM (or, depthwise, one
-    scalar multiply per channel) per kernel tap over the flattened padded
-    plane (`_conv_flat`). A strided or transposed conv is one relayout
-    into a stride-1 conv over the phases of its stride (`_resample`).
-    Each engine adds the bias into its own accumulator, and the result may
-    be a view of that fresh accumulator.
+    Two engines run every conv at stride 1, as `_runs_rows` picks: one GEMM
+    per row block (`_conv_rows`), or one GEMM (depthwise: one scalar
+    multiply per channel) per kernel tap over the flattened padded plane
+    (`_conv_flat`). A strided or transposed conv is one relayout into a
+    stride-1 conv over the phases of its stride (`_resample`). Each engine
+    adds the bias into its own accumulator; the result may be a transposed view.
     """
     macs = _check_conv(x, w, b, spec)
     if spec.transposed or spec.stride != (1, 1):

@@ -1,4 +1,5 @@
 """The A/B command's statistics and schedule (`tools/ab.py`), run nothing."""
+import json
 import subprocess
 
 import pytest
@@ -30,10 +31,12 @@ def test_compare_reports_each_side_and_the_parent_spread():
 
 
 def test_schedule_alternates_the_first_side_and_interleaves_workloads():
-    plan = ab.schedule(["a", "b"], 2)
-    assert plan == [(1, "a", "change"), (1, "a", "parent"), (1, "b", "change"),
-                    (1, "b", "parent"), (2, "a", "parent"), (2, "a", "change"),
-                    (2, "b", "parent"), (2, "b", "change")]
+    plan = ab.schedule(["a", "b"])
+    assert len(plan) == 4 * ab.PAIRS == 40
+    assert plan[:8] == [(1, "a", "change"), (1, "a", "parent"), (1, "b", "change"),
+                        (1, "b", "parent"), (2, "a", "parent"), (2, "a", "change"),
+                        (2, "b", "parent"), (2, "b", "change")]
+    assert [seed for seed, _, _ in plan[::4]] == list(range(1, 11))
 
 
 def test_summarize_keeps_declared_metrics_and_counts_ops():
@@ -52,16 +55,30 @@ def test_summarize_keeps_declared_metrics_and_counts_ops():
     assert got["metrics"]["latency_s.p50"]["change_better_in_pairs"] == "1/2"
 
 
+def test_summarize_pairs_runs_by_seed_when_each_side_loses_one():
+    def line(p50):
+        return {"correct": p50 is not None, "attempted": 10, "failed": 0,
+                "metrics": {} if p50 is None else {"latency_s.p50": {"value": p50}}}
+    # seed 2 failed on the parent side, seed 3 on the change side
+    results = {"w": {"parent": [line(1.0), line(None), line(5.0), line(2.0)],
+                     "change": [line(0.5), line(9.0), line(None), line(3.0)]}}
+    got = ab.summarize(results, [{"name": "latency_s.p50", "unit": "s", "better": "lower"}])
+    rec = got["w"]["metrics"]["latency_s.p50"]
+    assert rec["parent"]["runs"] == [1.0, 2.0]  # seeds 1 and 4 only
+    assert rec["change"]["runs"] == [0.5, 3.0]
+    assert rec["change_better_in_pairs"] == "1/2"
+
+
 def test_dry_run_prints_the_schedule_and_runs_nothing(monkeypatch, capsys, tmp_path):
     def no_process(*args, **kwargs):
         raise AssertionError("a process was started")
 
     monkeypatch.setattr(subprocess, "run", no_process)
     out = tmp_path / "bench.json"
-    assert ab.main(["--parent", "HEAD", "--workload", "train_micro", "--pairs", "3",
-                    "--seconds", "2", "--dry-run", "--out", str(out)]) == 0
+    assert ab.main(["--parent", "HEAD", "--workload", "train_micro", "--dry-run",
+                    "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["change", "parent", "parent", "change",
-                                                   "change", "parent"]
-    assert all("train_micro" in line and "--seconds 2" in line for line in lines)
+    assert [line.split()[0] for line in lines] == ["change", "parent", "parent", "change"] * 5
+    seconds = json.loads((ab.ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    assert all("train_micro" in line and f"--seconds {seconds:g}" in line for line in lines)
     assert not out.exists()

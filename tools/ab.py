@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Interleaved A/B of the benchmark: a parent revision against this tree.
 
-    python3 tools/ab.py --parent REV [--workload W ...] [--pairs 10]
-                        [--seconds 30] [--dry-run] --out BENCH_<n>.json
+    python3 tools/ab.py --parent REV [--workload W ...] [--dry-run]
+                        --out BENCH_<n>.json
 
 The parent side is REV, unpacked with `git archive` into a temporary
 directory that is removed afterwards; the change side is this working tree.
-Pair i (1..N) runs `perfbench/run.py --workload W --seed i --trace 0` once
-from each tree, each in a fresh process, one process at a time: the change
-first in odd pairs, the parent first in even ones, and every workload's
-pair i before any pair i + 1. The output holds, per workload, side and
-end-to-end metric of BENCHMARK.json, the runs, median and quartiles, the
-pairs the change won (ties count for neither) and the parent's quartile
-spread. `--dry-run` prints the schedule and runs nothing.
+Pair i (1..10) runs `perfbench/run.py --workload W --seed i --trace 0`
+for BENCHMARK.json's `run_seconds` once from each tree, each in a fresh
+process, one process at a time: the change first in odd pairs, the parent
+first in even ones, and every workload's pair i before any pair i + 1. The
+output holds, per workload, side and end-to-end metric of BENCHMARK.json,
+the runs, median and quartiles, the pairs the change won (ties count for
+neither) and the parent's quartile spread, over the seeds at which both
+sides measured the metric. `--dry-run` prints the schedule and runs
+nothing.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("change", "parent")
+PAIRS = 10
 
 
 # ---------------------------------------------------------------------------
@@ -62,16 +65,17 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     return out
 
 
-def schedule(workloads: list[str], pairs: int) -> list[tuple[int, str, str]]:
+def schedule(workloads: list[str]) -> list[tuple[int, str, str]]:
     """(seed, workload, side) of every run in order: pair by pair, each
     workload in turn, the change first in odd pairs."""
-    return [(i, w, side) for i in range(1, pairs + 1) for w in workloads
+    return [(i, w, side) for i in range(1, PAIRS + 1) for w in workloads
             for side in (SIDES if i % 2 else SIDES[::-1])]
 
 
 def summarize(results: dict, metrics: list[dict]) -> dict:
     """The per-workload record from `results[workload][side]`, a list of
-    perfbench result lines in seed order, for the declared `metrics`."""
+    perfbench result lines in seed order, for the declared `metrics`. A
+    metric's pairs are the seeds at which both sides measured it."""
     out = {}
     for wl, sides in results.items():
         rec = {
@@ -82,12 +86,13 @@ def summarize(results: dict, metrics: list[dict]) -> dict:
             "metrics": {},
         }
         for m in metrics:
-            runs = {s: [r["metrics"][m["name"]]["value"] for r in sides[s]
-                        if m["name"] in r["metrics"]] for s in SIDES}
-            if runs["parent"] and len(runs["parent"]) == len(runs["change"]):
+            pairs = [(p["metrics"][m["name"]]["value"], c["metrics"][m["name"]]["value"])
+                     for p, c in zip(sides["parent"], sides["change"], strict=True)
+                     if m["name"] in p["metrics"] and m["name"] in c["metrics"]]
+            if pairs:
+                parent, change = map(list, zip(*pairs))
                 rec["metrics"][m["name"]] = {"unit": m["unit"], "better": m["better"],
-                                             **compare(runs["parent"], runs["change"],
-                                                       m["better"])}
+                                             **compare(parent, change, m["better"])}
         out[wl] = rec
     return out
 
@@ -129,18 +134,15 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--workload", action="append", choices=names,
                     help="workload to run (repeatable; default: every workload)")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
     ap.add_argument("--dry-run", action="store_true", help="print the schedule, run nothing")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    if args.pairs < 1 or not args.seconds > 0:
-        ap.error("--pairs must be >= 1 and --seconds > 0")
+    seconds = spec["run_seconds"]
     workloads = args.workload or names
-    plan = schedule(workloads, args.pairs)
+    plan = schedule(workloads)
     if args.dry_run:
         for seed, wl, side in plan:
-            print(f"{side:6s} {wl:12s} --seed {seed} --seconds {args.seconds:g}")
+            print(f"{side:6s} {wl:12s} --seed {seed} --seconds {seconds:g}")
         return 0
 
     results = {wl: {s: [] for s in SIDES} for wl in workloads}
@@ -148,19 +150,19 @@ def main(argv=None) -> int:
         sha = unpack(args.parent, Path(tmp))
         trees = {"change": ROOT, "parent": Path(tmp) / "tree"}
         for n, (seed, wl, side) in enumerate(plan, 1):
-            res = run_side(trees[side], wl, seed, args.seconds)
+            res = run_side(trees[side], wl, seed, seconds)
             results[wl][side].append(res)
             p50 = res["metrics"].get("latency_s.p50", {}).get("value")
             print(f"[{n}/{len(plan)}] {side:6s} {wl:12s} seed {seed}: p50 {p50} "
                   f"failed {res['failed']}/{res['attempted']}", flush=True)
-    first = {i: SIDES[0] if i % 2 else SIDES[1] for i in range(1, args.pairs + 1)}
+    first = {i: SIDES[0] if i % 2 else SIDES[1] for i in range(1, PAIRS + 1)}
     record = {
         "parent": sha,
         "change": "the working tree of " + subprocess.run(
             ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True,
             check=False).stdout.strip(),
-        "method": f"tools/ab.py: perfbench/run.py --trace 0 --seconds {args.seconds:g}, seeds "
-                  f"1..{args.pairs}, one fresh process per run, one at a time, the change "
+        "method": f"tools/ab.py: perfbench/run.py --trace 0 --seconds {seconds:g}, seeds "
+                  f"1..{PAIRS}, one fresh process per run, one at a time, the change "
                   f"first in odd pairs, workloads interleaved pair by pair",
         "env": {"python": platform.python_version(), "numpy": importlib.metadata.version("numpy"),
                 "machine": platform.machine(), "nproc": len(os.sched_getaffinity(0))},
