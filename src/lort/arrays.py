@@ -322,8 +322,8 @@ def _resample(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec
     al., arXiv:1609.05158), whose phase kernels hold tap i at phase i*d % s
     and offset i*d // s, and zeros elsewhere. Strided: the phases of the
     padded input are stacked as channels in one copy (space-to-depth), on
-    the transposed plane for taps along W only, which the result keeps.
-    Transposed: the conv of the zero-bordered input makes
+    the transposed plane for taps along W only, and the result returns to
+    the input's plane. Transposed: the conv of the zero-bordered input makes
     one Cout group per phase, taps reversed, each written into its strided
     view of the output (depth-to-space); with taps along one axis only, a
     transposed view runs and returns on the plane it lies in.
@@ -359,6 +359,8 @@ def _resample(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec
         phases, out = out, np.empty_like(out, shape=(x.shape[0], cout, eh, ew))
         for g, (dst_h, src_h), (dst_w, src_w) in groups:
             out[:, :, dst_h, dst_w] = phases[:, g * cout : (g + 1) * cout, src_h, src_w]
+    elif flip and not view:  # one copy, half the stack's size: the encoder runs lighter on (T, F)
+        return out.transpose(0, 1, 3, 2).copy()
     return out.transpose(0, 1, 3, 2) if flip else out
 
 
