@@ -427,12 +427,12 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -
     Plain weights have shape (Cout, Cin/groups, kh, kw); transposed
     weights use (Cin, Cout, kh, kw). `groups` is 1, or Cin = Cout for a
     stride-1 depthwise conv; any other value raises `InvalidSpecError`.
-    Two engines run every conv at stride 1, as `_runs_rows` picks: one GEMM
-    per row block (`_conv_rows`), or one GEMM (depthwise: one scalar
-    multiply per channel) per kernel tap over the flattened padded plane
-    (`_conv_flat`). A strided or transposed conv is one relayout into a
-    stride-1 conv over the phases of its stride (`_resample`). Each engine
-    adds the bias into its own accumulator; the result may be a transposed view.
+    A stride-1 conv runs on `_conv_rows` (one GEMM per row block) where
+    `_runs_rows` says so, else on `_conv_flat` (one GEMM, depthwise one
+    scalar multiply per channel, per kernel tap over the flattened padded
+    plane). A strided or transposed conv is one relayout into a stride-1
+    conv on `_conv_flat` over the phases of its stride (`_resample`). Each
+    engine adds the bias into its own accumulator; it may return a transposed view.
     """
     macs = _check_conv(x, w, b, spec)
     if spec.transposed or spec.stride != (1, 1):
@@ -448,7 +448,7 @@ def _runs_rows(wshape: tuple[int, ...], spec: ConvSpec) -> bool:
     """Whether a stride-1 conv with weights of shape `wshape` runs
     row-blocked: dense, more than one tap, and at least _ROW_MIN_PAIRS
     Cout·Cin weight pairs per tap."""
-    return (spec.groups == 1 and wshape[2:] != (1, 1)
+    return (spec.groups == 1 and spec.kernel != (1, 1)
             and wshape[0] * wshape[1] >= _ROW_MIN_PAIRS)
 
 

@@ -6,9 +6,10 @@
 
 The parent side is REV, unpacked with `git archive` into a temporary
 directory that is removed afterwards; the change side is this working tree.
-Pair i (1..10) runs `perfbench/run.py --workload W --seed i --trace 0`
-for BENCHMARK.json's `run_seconds` once from each tree, each in a fresh
-process, one process at a time: the change first in odd pairs, the parent
+Pair i (1..10) runs BENCHMARK.json's `command` (`python3 perfbench/run.py`,
+a path relative to the tree, as the benchmark runs it) with `--workload W
+--seed i --trace 0` for its `run_seconds` once in each tree, each in a
+fresh process, one process at a time: the change first in odd pairs, the parent
 first in even ones, and every workload's pair i before any pair i + 1. The
 output holds, per workload, side and end-to-end metric of BENCHMARK.json,
 the runs, median and quartiles, the pairs the change won (ties count for
@@ -100,11 +101,12 @@ def summarize(results: dict, metrics: list[dict]) -> dict:
 # ---------------------------------------------------------------------------
 # Runs
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run from `tree`: its final JSON line (correct,
-    attempted, failed, metrics), correct only if the process exited 0."""
-    cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def run_side(tree: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
+    """One run of the benchmark's `command` in `tree`: its final JSON line
+    (correct, attempted, failed, metrics), correct only if the process
+    exited 0."""
+    cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", "0"]
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=tree, check=False)
     try:
         res = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -150,7 +152,7 @@ def main(argv=None) -> int:
         sha = unpack(args.parent, Path(tmp))
         trees = {"change": ROOT, "parent": Path(tmp) / "tree"}
         for n, (seed, wl, side) in enumerate(plan, 1):
-            res = run_side(trees[side], wl, seed, seconds)
+            res = run_side(trees[side], spec["command"], wl, seed, seconds)
             results[wl][side].append(res)
             p50 = res["metrics"].get("latency_s.p50", {}).get("value")
             print(f"[{n}/{len(plan)}] {side:6s} {wl:12s} seed {seed}: p50 {p50} "
@@ -161,7 +163,7 @@ def main(argv=None) -> int:
         "change": "the working tree of " + subprocess.run(
             ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True,
             check=False).stdout.strip(),
-        "method": f"tools/ab.py: perfbench/run.py --trace 0 --seconds {seconds:g}, seeds "
+        "method": f"tools/ab.py: {' '.join(spec['command'])} --trace 0 --seconds {seconds:g}, seeds "
                   f"1..{PAIRS}, one fresh process per run, one at a time, the change "
                   f"first in odd pairs, workloads interleaved pair by pair",
         "env": {"python": platform.python_version(), "numpy": importlib.metadata.version("numpy"),
