@@ -147,18 +147,26 @@ def _conv_flat(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
     slower on a cropped view). At padding 0 an input with unit-stride rows,
     such as a window of a larger zero-bordered buffer, is read in place at
     that buffer's pitch; otherwise the one padded (or contiguous) copy is made.
+
+    The plane is picked here, never by a caller: the (B, C, W, H) one, its
+    rows along W, for a kernel along W only, where the flat layout computes
+    no pad columns, and for a transposed view (unit stride along H) with any
+    kernel but one along H only, which it then reads where it lies; the
+    result is then a transposed view. On either plane the taps are summed in
+    the kernel's row-major order, tap (i, j) at flat offset j*dw*pitch +
+    i*dh on the transposed one, over tap matrices taken from w as given, so
+    a view gives its contiguous input's result bit for bit wherever the
+    GEMMs contract fewer than 16 input channels (from 16 up OpenBLAS sums a
+    column in an order set by its position).
     """
     kh, kw = w.shape[2:]
-    if kh == 1 < kw or kh == kw == 1 and _transposed_view(x):
-        # A kernel along W only runs on the transposed plane, where the
-        # flat layout computes no pad columns, and a 1x1 conv on the plane
-        # a transposed view lies in, which it then reads without a copy.
-        out = _conv_flat(x.transpose(0, 1, 3, 2), w.transpose(0, 1, 3, 2), b,
-                         dilation[::-1], padding[::-1])
-        return out.transpose(0, 1, 3, 2)
-    ph, pw = padding
-    if ph or pw:
-        x = zero_pad(x, (ph, ph), (pw, pw))
+    (dh, dw), pad = dilation, padding
+    reach = dh * (kh - 1), dw * (kw - 1)
+    turn = kh == 1 < kw or _transposed_view(x) and not kw == 1 < kh
+    if turn:  # the (B, C, W, H) plane, its rows along W
+        x, pad, reach = x.transpose(0, 1, 3, 2), pad[::-1], reach[::-1]
+    if pad != (0, 0):
+        x = zero_pad(x, (pad[0], pad[0]), (pad[1], pad[1]))
     b_, cin, h, wid = x.shape
     item = x.itemsize
     pitch, rem = divmod(x.strides[2], item)
@@ -168,9 +176,9 @@ def _conv_flat(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
         x, (b_, cin, (h - 1) * pitch + wid), (x.strides[0], x.strides[1], item),
         writeable=False)
     cout = w.shape[0]
-    dh, dw = dilation
-    ho, wo = h - dh * (kh - 1), wid - dw * (kw - 1)
-    offsets = [i * dh * pitch + j * dw for i in range(kh) for j in range(kw)]
+    ho, wo = h - reach[0], wid - reach[1]
+    sh, sw = (1, pitch) if turn else (pitch, 1)  # flat steps of the kernel's H and W axes
+    offsets = [i * dh * sh + j * dw * sw for i in range(kh) for j in range(kw)]
     acc = np.empty((b_, cout, ho * pitch), dtype=_acc_dtype(x, w, b))
     span = (ho - 1) * pitch + wo  # flat extent holding every output position
     if w.shape[1] == 1 and cin == cout:
@@ -201,7 +209,8 @@ def _conv_flat(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
             if b is not None:
                 dst += b[:, None]
     out = acc.reshape(b_, cout, ho, pitch)
-    return out if wo == pitch else out[:, :, :, :wo].copy()
+    out = out if wo == pitch else out[:, :, :, :wo].copy()
+    return out.transpose(0, 1, 3, 2) if turn else out
 
 
 def _conv_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
@@ -320,37 +329,35 @@ def _resample(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec
     """A strided or transposed conv as one relayout and one stride-1 conv
     over the s_h*s_w phases of its stride (sub-pixel convolution; Shi et
     al., arXiv:1609.05158), whose phase kernels hold tap i at phase i*d % s
-    and offset i*d // s, and zeros elsewhere. Strided: the phases of the
-    padded input are stacked as channels in one copy (space-to-depth), on
-    the transposed plane for taps along W only, and the result returns to
-    the input's plane. Transposed: the conv of the zero-bordered input makes
-    one Cout group per phase, taps reversed, each written into its strided
-    view of the output (depth-to-space); with taps along one axis only, a
-    transposed view runs and returns on the plane it lies in.
+    and offset i*d // s, and zeros elsewhere; phase (r_h, r_w) is channel
+    group r_h*s_w + r_w. Strided: the phases of the padded input are
+    stacked as channels in one copy (space-to-depth). Transposed: the conv
+    of the zero-bordered input makes one Cout group per phase, taps
+    reversed, each written into its strided view of the output
+    (depth-to-space). `_conv_flat` picks the plane the phase conv runs on;
+    the one layout chosen here is the stack's: for a phase kernel along W
+    only it is built on the transposed plane, which the engine reads in
+    place, and the result returns to a contiguous input's plane.
     """
-    axes = [_phase_axis(*axis, spec.transposed) for axis in zip(
-        x.shape[2:], spec.kernel, spec.stride, spec.dilation, spec.padding,
-        conv_out_shape(x.shape[2:], spec))]
-    # phase (rh, rw) is channel group order[rh, rw] of the stack, row-major on
-    # the spec's plane, so that on both planes each GEMM sums alike
-    order = np.arange(spec.stride[0] * spec.stride[1]).reshape(spec.stride)
-    along_h, along_w = axes[0][0] > 1, axes[1][0] > 1
-    view = _transposed_view(x)
-    flip = along_h != along_w and view if spec.transposed else along_w > along_h
-    if flip:
-        x, w, axes, order = x.transpose(0, 1, 3, 2), w.transpose(0, 1, 3, 2), axes[::-1], order.T
-    (kh, dh, (rh, ah), ph, eh, moves_h), (kw, dw, (rw, aw), pw, ew, moves_w) = axes
+    (kh, dh, (rh, ah), ph, eh, moves_h), (kw, dw, (rw, aw), pw, ew, moves_w) = (
+        _phase_axis(*axis, spec.transposed) for axis in zip(
+            x.shape[2:], spec.kernel, spec.stride, spec.dilation, spec.padding,
+            conv_out_shape(x.shape[2:], spec)))
+    sh, sw = spec.stride
     plain = w.transpose(1, 0, 2, 3) if spec.transposed else w  # (Cout, Cin, kh, kw)
     cout, cin = plain.shape[:2]
-    w2 = np.zeros((order.size, cout, cin, kh, kw), dtype=w.dtype)  # per group, (Cout, Cin) taps
-    w2[order[rh[:, None], rw], :, :, ah[:, None], aw] = plain.transpose(2, 3, 0, 1)
-    groups = [(order[i, j], mh, mw) for (i, mh), (j, mw)
+    w2 = np.zeros((sh * sw, cout, cin, kh, kw), dtype=w.dtype)  # per group, (Cout, Cin) taps
+    w2[rh[:, None] * sw + rw, :, :, ah[:, None], aw] = plain.transpose(2, 3, 0, 1)
+    groups = [(i * sw + j, mh, mw) for (i, mh), (j, mw)
               in itertools.product(enumerate(moves_h), enumerate(moves_w))]
+    along_w = kh == 1 < kw
     if spec.transposed:
-        w2, xs, bias = w2.reshape(-1, cin, kh, kw), x, None if b is None else np.tile(b, order.size)
+        w2, xs, bias = w2.reshape(-1, cin, kh, kw), x, None if b is None else np.tile(b, sh * sw)
     else:
         w2, bias = w2.transpose(1, 0, 2, 3, 4).reshape(cout, -1, kh, kw), b
-        xs = np.zeros((x.shape[0], order.size * cin, eh, ew), dtype=x.dtype)
+        lead = (x.shape[0], sh * sw * cin)
+        xs = (np.zeros((*lead, ew, eh), x.dtype).transpose(0, 1, 3, 2) if along_w
+              else np.zeros((*lead, eh, ew), x.dtype))
         for g, (dst_h, src_h), (dst_w, src_w) in groups:
             xs[:, g * cin : (g + 1) * cin, dst_h, dst_w] = x[:, :, src_h, src_w]
     out = _conv_flat(xs, w2, bias, (dh, dw), (ph, pw))
@@ -359,9 +366,9 @@ def _resample(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec
         phases, out = out, np.empty_like(out, shape=(x.shape[0], cout, eh, ew))
         for g, (dst_h, src_h), (dst_w, src_w) in groups:
             out[:, :, dst_h, dst_w] = phases[:, g * cout : (g + 1) * cout, src_h, src_w]
-    elif flip and not view:  # one copy, half the stack's size: the encoder runs lighter on (T, F)
-        return out.transpose(0, 1, 3, 2).copy()
-    return out.transpose(0, 1, 3, 2) if flip else out
+    elif along_w and not _transposed_view(x):
+        return out.copy()  # one copy, half the stack's size: the encoder runs lighter on (T, F)
+    return out
 
 
 @functools.lru_cache

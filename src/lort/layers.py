@@ -68,19 +68,8 @@ class Conv(Layer):
         self.w = Param(f"{name}.w", wshape, init)
         self.b = Param(f"{name}.b", (cout,), "zeros")
 
-    def __call__(self, ws, x, flip=False):
-        """The conv of x, or with `flip` of x's transposed (B, C, W, H)
-        plane: every pair of the spec swapped, on the transposed weight."""
-        w, spec = ws[self.w.name], self.spec
-        if flip:
-            w, spec = w.transpose(0, 1, 3, 2), _swapped(spec)
-        return conv2d(x, w, ws[self.b.name], spec)
-
-
-def _swapped(spec: ConvSpec) -> ConvSpec:
-    """`spec` on the transposed plane: each (H, W) pair becomes (W, H)."""
-    return replace(spec, **{f: getattr(spec, f)[::-1] for f in
-                            ("kernel", "stride", "dilation", "padding", "out_pad")})
+    def __call__(self, ws, x):
+        return conv2d(x, ws[self.w.name], ws[self.b.name], self.spec)
 
 
 class Norm(Layer):
@@ -132,14 +121,14 @@ class DenseStack(Layer):
     swapped, and no layer runs a Conv after its first one, or when every
     multi-tap conv of the stack has its kernel along W only (a `Dlc` along
     frequency, whose border is (0, 0)), the stack runs on the transposed
-    plane: the buffer is (B, C_last, W + 2Q, H + 2P), the input is written
-    into it transposed, every conv runs with kernel and geometry swapped on
-    its weight read as a transposed view (so a kernel along W runs along
-    the rows of the plane it reads), the epilogues run on the transposed
-    maps, and the last output is returned as a transposed view. With no
-    border both planes cost the same, so a stack whose first convs all run
-    row-blocked keeps the (H, W) plane unless its kernels lie along W.
-    Only the input shape and the convs' kernels and widths decide.
+    plane. It chooses that plane only by its buffer's layout, a
+    (B, C_last, W + 2Q, H + 2P) array read through its transposed view:
+    every conv gets the stored weight and its declared spec, and `conv2d`
+    reads each map where it lies (see `arrays._conv_flat`), so the last
+    output comes back as a transposed view. With no border both planes
+    cost the same, so a stack whose first convs all run row-blocked keeps
+    the (H, W) plane unless its kernels lie along W. Only the input shape
+    and the convs' kernels and widths decide.
     """
 
     def __init__(self, layers):
@@ -149,17 +138,10 @@ class DenseStack(Layer):
         # a row-blocked head pads in the engine, with no copy, and reads the
         # plain maps; a flat-path head reads its padding from the border
         rowed = [_runs_rows(conv.w.shape, conv.spec) for conv in heads]
-        pads = [(0, 0) if r else conv.spec.padding for conv, r in zip(heads, rowed)]
-        border = tuple(max(p[i] for p in pads) for i in range(2))
-        specs = [conv.spec if r else replace(conv.spec, padding=(0, 0))
-                 for conv, r in zip(heads, rowed)]
-        # (border, border each head reads, head specs) on the (H, W) plane,
-        # then on the transposed (W, H) plane
-        self._planes = (
-            (border, pads, specs),
-            (border[::-1], [p[::-1] for p in pads],
-             [_swapped(sp) for sp in specs]),
-        )
+        self._pads = [(0, 0) if r else conv.spec.padding for conv, r in zip(heads, rowed)]
+        self._border = tuple(max(p[i] for p in self._pads) for i in range(2))
+        self._specs = [conv.spec if r else replace(conv.spec, padding=(0, 0))
+                       for conv, r in zip(heads, rowed)]
         self._may_transpose = all(not isinstance(sub, Conv)
                                   for layer in self.layers for sub in layer[1:])
         taps = [sub.spec.kernel for layer in self.layers for sub in layer
@@ -173,47 +155,39 @@ class DenseStack(Layer):
         if x.ndim != 4 or x.shape[1] != cins[0]:
             raise ShapeError(f"dense stack expects (B, {cins[0]}, H, W), got shape {x.shape}")
         b, c, h, w = x.shape
-        bh, bw = self._planes[0][0]
-        flip = self._along_w or self._may_transpose and h * (w + 2 * bw) > w * (h + 2 * bh)
-        if flip:
-            x = x.transpose(0, 1, 3, 2)
-            h, w, bh, bw = w, h, bw, bh
+        bh, bw = self._border
         dtype = np.result_type(x, ws[self.layers[0][0].w.name])
-        buf = np.zeros((b, cins[-1], h + 2 * bh, w + 2 * bw), dtype=dtype)
+        if self._along_w or self._may_transpose and h * (w + 2 * bw) > w * (h + 2 * bh):
+            # the transposed plane: every conv reads it where it lies
+            buf = np.zeros((b, cins[-1], w + 2 * bw, h + 2 * bh), dtype).transpose(0, 1, 3, 2)
+        else:
+            buf = np.zeros((b, cins[-1], h + 2 * bh, w + 2 * bw), dtype)
         maps = buf[:, :, bh : bh + h, bw : bw + w]
         maps[:, :c] = x
         del x  # a stem's output lives on in the buffer only
         for j, layer in enumerate(self.layers[:-1]):
-            _tail(ws, layer[1:], self._head(ws, buf, j, flip), flip,
-                  maps[:, cins[j] : cins[j + 1]])
-        z = self._head(ws, buf, len(cins) - 1, flip)
+            _tail(ws, layer[1:], self._head(ws, buf, j), maps[:, cins[j] : cins[j + 1]])
+        z = self._head(ws, buf, len(cins) - 1)
         del buf, maps  # the last head conv was the buffer's last reader
-        z = _tail(ws, self.layers[-1][1:], z, flip)
-        return z.transpose(0, 1, 3, 2) if flip else z
+        return _tail(ws, self.layers[-1][1:], z)
 
-    def _head(self, ws, buf, j, flip):
+    def _head(self, ws, buf, j):
         """Layer j's first conv over its channels and border of the buffer
-        (no border for a row-blocked conv), on the transposed plane when
-        `flip`."""
-        (bh, bw), pads, specs = self._planes[flip]
-        ph, pw = pads[j]
+        (no border for a row-blocked conv)."""
+        (bh, bw), (ph, pw) = self._border, self._pads[j]
         h, w = buf.shape[2] - 2 * bh, buf.shape[3] - 2 * bw
         conv = self.layers[j][0]
         view = buf[:, : self._cins[j], bh - ph : bh + h + ph, bw - pw : bw + w + pw]
-        weight = ws[conv.w.name]
-        if flip:
-            weight = weight.transpose(0, 1, 3, 2)
-        return conv2d(view, weight, ws[conv.b.name], specs[j])
+        return conv2d(view, ws[conv.w.name], ws[conv.b.name], self._specs[j])
 
 
-def _tail(ws, subs, z, flip, out=None):
+def _tail(ws, subs, z, out=None):
     """Apply a dense layer's sub-layers after its first conv to that conv's
-    fresh output z: a Conv makes a new map (on the transposed plane when
-    `flip`), an epilogue runs in place, and the last sub-layer's result
-    goes to `out` when one is given."""
+    fresh output z: a Conv makes a new map, an epilogue runs in place, and
+    the last sub-layer's result goes to `out` when one is given."""
     for k, sub in enumerate(subs, 1):
         if isinstance(sub, Conv):
-            z = sub(ws, z, flip)
+            z = sub(ws, z)
         else:
             z = sub(ws, z, out=z if out is None or k < len(subs) else out)
     if out is not None and z is not out:

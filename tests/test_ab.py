@@ -30,6 +30,24 @@ def test_compare_reports_each_side_and_the_parent_spread():
     assert got["parent_iqr"] == 2.0
 
 
+def test_within_bound_reads_the_median_against_the_bound():
+    parent = [1.0, 1.0, 1.0, 1.0, 1.0]
+    assert ab.within_bound(parent, [1.05, 1.05, 1.05, 1.05, 1.05], "lower", 0.1) == "ok"
+    assert ab.within_bound(parent, [1.2, 1.2, 1.2, 1.2, 1.2], "lower", 0.1) == "worse"
+    assert ab.within_bound(parent, [0.5, 0.5, 0.5, 0.5, 0.5], "lower", 0.1) == "ok"
+    assert ab.within_bound(parent, [1.2, 1.2, 1.2, 1.2, 1.2], "higher", 0.1) == "ok"
+    assert ab.within_bound(parent, [0.85, 0.85, 0.85, 0.85, 0.85], "higher", 0.1) == "worse"
+
+
+def test_within_bound_is_unresolved_on_a_wide_parent_unless_every_run_beats_it():
+    parent = [1.0, 1.5, 2.0, 2.5, 3.0]  # quartile spread 1.0 against median 2.0
+    assert ab.within_bound(parent, parent, "lower", 0.25) == "unresolved"
+    assert ab.within_bound(parent, [0.9, 0.8, 0.7, 0.6, 0.5], "lower", 0.25) == "ok"
+    assert ab.within_bound(parent, [3.1, 3.2, 3.3, 3.4, 3.5], "higher", 0.25) == "ok"
+    assert ab.within_bound(parent, [0.9, 0.8, 0.7, 0.6, 1.0], "lower", 0.25) == "unresolved"
+    assert ab.within_bound(parent, parent, "lower", 0.5) == "ok"  # spread 0.5 of the median
+
+
 def test_schedule_alternates_the_first_side_and_interleaves_workloads():
     plan = ab.schedule(["a", "b"])
     assert len(plan) == 4 * ab.PAIRS == 40
@@ -44,8 +62,8 @@ def test_summarize_keeps_declared_metrics_and_counts_ops():
         return {"correct": not failed, "attempted": 10, "failed": failed,
                 "metrics": {"latency_s.p50": {"value": p50}}}
     results = {"w": {"parent": [line(2.0), line(3.0)], "change": [line(1.0), line(4.0, 1)]}}
-    metrics = [{"name": "latency_s.p50", "unit": "s", "better": "lower"},
-               {"name": "rtf", "unit": "s/s", "better": "lower"}]
+    metrics = [{"name": "latency_s.p50", "unit": "s", "better": "lower", "bound": 0.1},
+               {"name": "rtf", "unit": "s/s", "better": "lower", "bound": 0.1}]
     got = ab.summarize(results, metrics)["w"]
     assert got["pairs"] == 2
     assert got["failed_ops"] == {"change": 1, "parent": 0}
@@ -53,6 +71,8 @@ def test_summarize_keeps_declared_metrics_and_counts_ops():
     assert got["correct"] == {"change": False, "parent": True}
     assert list(got["metrics"]) == ["latency_s.p50"]  # rtf was not measured
     assert got["metrics"]["latency_s.p50"]["change_better_in_pairs"] == "1/2"
+    assert got["metrics"]["latency_s.p50"]["bound"] == 0.1
+    assert got["metrics"]["latency_s.p50"]["within_bound"] == "unresolved"  # spread 0.5, median 2.5
 
 
 def test_summarize_pairs_runs_by_seed_when_each_side_loses_one():
@@ -62,7 +82,8 @@ def test_summarize_pairs_runs_by_seed_when_each_side_loses_one():
     # seed 2 failed on the parent side, seed 3 on the change side
     results = {"w": {"parent": [line(1.0), line(None), line(5.0), line(2.0)],
                      "change": [line(0.5), line(9.0), line(None), line(3.0)]}}
-    got = ab.summarize(results, [{"name": "latency_s.p50", "unit": "s", "better": "lower"}])
+    got = ab.summarize(results, [{"name": "latency_s.p50", "unit": "s", "better": "lower",
+                                  "bound": 0.25}])
     rec = got["w"]["metrics"]["latency_s.p50"]
     assert rec["parent"]["runs"] == [1.0, 2.0]  # seeds 1 and 4 only
     assert rec["change"]["runs"] == [0.5, 3.0]

@@ -309,9 +309,15 @@ def transposed_view(x, border=(2, 3)):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_transposed_views_match_reference_and_the_contiguous_input(seed):
-    """Strided and transposed convs run on the plane a transposed view lies
-    in. With two or more output channels each output is the same GEMM dot
-    product as for the contiguous input, bit for bit; with one, numpy's
+    """Every stride-1 conv, a strided or transposed conv's phase conv
+    included, reads a transposed view on the plane it lies in (a kernel
+    along H only from its copy on the (H, W) plane), summing the kernel's
+    taps in its own row-major order. With two or more output channels each
+    output is then the same GEMM dot product as for the contiguous input,
+    bit for bit, but only below a contraction depth of 16: from K = 16 up
+    OpenBLAS sums a column in an order set by its position. These cases
+    draw at most 5 input channels (a strided conv's phase stack, up to 45,
+    is laid out alike for either input). With one output channel numpy's
     matmul is a vector product whose BLAS kernel may sum a column in an
     order set by its position, so only the oracle's tolerance holds."""
     rng = np.random.default_rng(400 + seed)

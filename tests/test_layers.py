@@ -1,5 +1,6 @@
 import inspect
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import lort
 import lort.layers
 import lort.local_refine
 import lort.model
+from lort import arrays
 from lort.errors import ShapeError
 from lort.layers import Conv, DenseStack, Layer, Norm, Param, PRelu, init_store
 from lort.local_refine import Lrc
 from lort.model import Encoder, ModelConfig, dilated_dense
+from lort.signal import Waveform
 from lort.verify import make_toy_task, micro_config
 from oracles import dense_concat
 
@@ -159,6 +162,49 @@ def test_dense_stack_runs_the_stem_handed_to_the_call(name, stack, cin, plane):
         ws[key] = value
     x = np.random.default_rng(27).standard_normal((2, 3, *PLANES[plane]))
     assert stack(ws, x, stem=stem).tobytes() == stack(ws, stem(ws, x)).tobytes(), name
+
+
+def held_layers(value):
+    """Every layer a layer tree holds, itself included."""
+    if isinstance(value, Layer):
+        yield value
+        yield from held_layers(list(vars(value).values()))
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from held_layers(item)
+
+
+@pytest.mark.parametrize("cfg,seconds", [(micro_config(), 0.25), (ModelConfig(), 0.1)],
+                         ids=["micro", "reference"])
+def test_layers_hand_conv2d_the_stored_weight_and_the_declared_spec(monkeypatch, cfg, seconds):
+    """No layer swaps a weight or a spec: every conv of a forward, those of
+    the transposed dense stacks included, receives the very array its
+    layer's Param names in the store and the spec that layer declares (a
+    flat-path dense head's at padding 0, where it reads its border from the
+    buffer); `conv2d` reads each map on the plane it lies in."""
+    net = lort.model.build_model(cfg)
+    specs = {conv.w.name: conv.spec for conv in held_layers(net) if isinstance(conv, Conv)}
+    for stack in held_layers(net):
+        if isinstance(stack, DenseStack):
+            for head, *_ in stack.layers:
+                if not arrays._runs_rows(head.w.shape, head.spec):
+                    specs[head.w.name] = replace(head.spec, padding=(0, 0))
+    ws = lort.init_weights(cfg, seed=7)
+    calls = []
+
+    def recorded(x, w, b, spec):
+        calls.append((w, spec))
+        return arrays.conv2d(x, w, b, spec)
+
+    monkeypatch.setattr(lort.layers, "conv2d", recorded)
+    noisy = Waveform(0.1 * np.random.default_rng(7).standard_normal(int(16000 * seconds)))
+    lort.forward(noisy, ws, cfg)
+    stored = {id(ws[name]): name for name in specs}
+    names = [stored.get(id(w)) for w, _ in calls]
+    assert None not in names, "a conv got a weight the store does not hold"
+    assert set(names) == set(specs)  # every conv of the generator ran
+    for name, (w, spec) in zip(names, calls):
+        assert w is ws[name] and spec == specs[name], name
 
 
 def test_dense_stack_rejects_other_channel_counts():

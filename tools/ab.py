@@ -13,9 +13,9 @@ fresh process, one process at a time: the change first in odd pairs, the parent
 first in even ones, and every workload's pair i before any pair i + 1. The
 output holds, per workload, side and end-to-end metric of BENCHMARK.json,
 the runs, median and quartiles, the pairs the change won (ties count for
-neither) and the parent's quartile spread, over the seeds at which both
-sides measured the metric. `--dry-run` prints the schedule and runs
-nothing.
+neither), the parent's quartile spread and the metric's verdict against
+its bound (`within_bound`), over the seeds at which both sides measured
+the metric. `--dry-run` prints the schedule and runs nothing.
 """
 from __future__ import annotations
 
@@ -66,6 +66,21 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     return out
 
 
+def within_bound(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The verdict on a metric the change makes no claim on, against its
+    relative `bound`: "unresolved" when the parent's quartile spread
+    exceeds `bound` of its median, unless every change run beats every
+    parent run ("ok"); else "ok" when the change's median is worse than
+    the parent's by at most `bound` of the parent's median, and "worse"
+    otherwise."""
+    sign = 1 if better == "lower" else -1
+    q1, med, q3 = quartiles(parent)
+    if q3 - q1 > bound * abs(med):
+        beats = all(sign * (p - c) > 0 for p in parent for c in change)
+        return "ok" if beats else "unresolved"
+    return "worse" if sign * (quartiles(change)[1] - med) > bound * abs(med) else "ok"
+
+
 def schedule(workloads: list[str]) -> list[tuple[int, str, str]]:
     """(seed, workload, side) of every run in order: pair by pair, each
     workload in turn, the change first in odd pairs."""
@@ -92,8 +107,10 @@ def summarize(results: dict, metrics: list[dict]) -> dict:
                      if m["name"] in p["metrics"] and m["name"] in c["metrics"]]
             if pairs:
                 parent, change = map(list, zip(*pairs))
-                rec["metrics"][m["name"]] = {"unit": m["unit"], "better": m["better"],
-                                             **compare(parent, change, m["better"])}
+                rec["metrics"][m["name"]] = {
+                    "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                    **compare(parent, change, m["better"]),
+                    "within_bound": within_bound(parent, change, m["better"], m["bound"])}
         out[wl] = rec
     return out
 
