@@ -127,13 +127,7 @@ def zero_pad(x: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]) -> np.
     return out
 
 
-def _acc_dtype(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.dtype:
-    """Dtype of a conv's accumulator: the bias promotes it as `out + b` would."""
-    return np.result_type(x, w) if b is None else np.result_type(x, w, b)
-
-
-def _conv_flat(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
-               padding) -> np.ndarray:
+def _conv_flat(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation, padding) -> np.ndarray:
     """Stride-1 dense or depthwise correlation, accumulated per kernel tap
     over the flattened padded plane.
 
@@ -179,7 +173,7 @@ def _conv_flat(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
     ho, wo = h - reach[0], wid - reach[1]
     sh, sw = (1, pitch) if turn else (pitch, 1)  # flat steps of the kernel's H and W axes
     offsets = [i * dh * sh + j * dw * sw for i in range(kh) for j in range(kw)]
-    acc = np.empty((b_, cout, ho * pitch), dtype=_acc_dtype(x, w, b))
+    acc = np.empty((b_, cout, ho * pitch), dtype=np.result_type(x, w, b))
     span = (ho - 1) * pitch + wo  # flat extent holding every output position
     if w.shape[1] == 1 and cin == cout:
         # depthwise: per channel, one scalar multiply and one add per tap,
@@ -190,8 +184,7 @@ def _conv_flat(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
             np.multiply(xf[:, c, offsets[0] : offsets[0] + span], taps[0], out=dst)
             for tap, off in zip(taps[1:], offsets[1:]):
                 dst += np.multiply(xf[:, c, off : off + span], tap, out=tmp)
-            if b is not None:
-                dst += b[c]
+            dst += b[c]
     else:
         taps = w.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin)
         # Column chunks keep the per-tap temporary small and the accumulator
@@ -206,15 +199,13 @@ def _conv_flat(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
                 part = tmp[:, :, : c1 - c0]
                 np.matmul(tap, xf[:, :, off + c0 : off + c1], out=part)
                 dst += part
-            if b is not None:
-                dst += b[:, None]
+            dst += b[:, None]
     out = acc.reshape(b_, cout, ho, pitch)
     out = out if wo == pitch else out[:, :, :, :wo].copy()
     return out.transpose(0, 1, 3, 2) if turn else out
 
 
-def _conv_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
-               padding) -> np.ndarray:
+def _conv_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation, padding) -> np.ndarray:
     """Stride-1 dense correlation, one GEMM per output row.
 
     Output row r reads the padded rows r + i*dh (i < kh), all of phase
@@ -242,7 +233,7 @@ def _conv_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
     ph, pw = padding
     halo = dw * (kw - 1)
     ho, wo = h + 2 * ph - dh * (kh - 1), wid + 2 * pw - halo
-    out = np.empty((b_, cout, ho, wo), dtype=_acc_dtype(x, w, b))
+    out = np.empty((b_, cout, ho, wo), dtype=np.result_type(x, w, b))
     dtype = np.result_type(x, w)  # of the GEMM operands, so matmul casts no copy
     # row j*Cout + o, column i*Cin + c: tap (i, j) from input channel c to o
     wm = np.asarray(w.transpose(3, 0, 2, 1).reshape(kw * cout, kh * cin), dtype=dtype)
@@ -265,8 +256,7 @@ def _conv_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
         matrices and the weight columns wk of those K rows."""
         if kw == 1:
             np.matmul(wk, mat, out=dst)
-            if b is not None:
-                dst += b[:, None]
+            dst += b[:, None]
             return
         n, _, cols = mat.shape
         m = cols - halo
@@ -275,10 +265,7 @@ def _conv_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
                      out=tmp[: n * cout * m].reshape(n, cout, m))
         for j in range(2, kw):
             acc += p[:, j * cout : (j + 1) * cout, j * dw : j * dw + m]
-        if b is None:
-            dst[...] = acc
-        else:
-            np.add(acc, b[:, None], out=dst)
+        np.add(acc, b[:, None], out=dst)
 
     for i, phase, o0 in itertools.product(range(b_), range(min(dh, ho)), range(0, wo, wstep)):
         o1 = min(o0 + wstep, wo)
@@ -317,7 +304,7 @@ def _conv_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
                     continue
                 lo, hi = max(vlo - q, 0), min(vhi - q, kh)
                 if hi <= lo:  # every tap reads padding
-                    dst(q, q + 1)[...] = 0 if b is None else b[:, None]
+                    dst(q, q + 1)[...] = b[:, None]
                     continue
                 s = q + lo - v0
                 emit(wm[:, lo * cin : hi * cin],
@@ -325,7 +312,7 @@ def _conv_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, dilation,
     return out
 
 
-def _resample(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> np.ndarray:
+def _resample(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """A strided or transposed conv as one relayout and one stride-1 conv
     over the s_h*s_w phases of its stride (sub-pixel convolution; Shi et
     al., arXiv:1609.05158), whose phase kernels hold tap i at phase i*d % s
@@ -352,7 +339,7 @@ def _resample(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec
               in itertools.product(enumerate(moves_h), enumerate(moves_w))]
     along_w = kh == 1 < kw
     if spec.transposed:
-        w2, xs, bias = w2.reshape(-1, cin, kh, kw), x, None if b is None else np.tile(b, sh * sw)
+        w2, xs, bias = w2.reshape(-1, cin, kh, kw), x, np.tile(b, sh * sw)
     else:
         w2, bias = w2.transpose(1, 0, 2, 3, 4).reshape(cout, -1, kh, kw), b
         lead = (x.shape[0], sh * sw * cin)
@@ -406,7 +393,7 @@ def _transposed_view(x: np.ndarray) -> bool:
     return x.strides[2] == x.itemsize != x.strides[3]
 
 
-def _check_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> int:
+def _check_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec) -> int:
     """Validate the operands of one conv2d call; return its MAC count."""
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects a (B, C, H, W) input, got shape {x.shape}")
@@ -420,15 +407,16 @@ def _check_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSp
     if x.shape[1] != cin:
         raise ShapeError(f"channels {x.shape[1]} inconsistent with weight {w.shape}")
     ho, wo = conv_out_shape(x.shape[2:], spec)
-    if b is not None and b.shape != (cout,):
-        raise ShapeError(f"bias shape {b.shape} != ({cout},)")
+    if not isinstance(b, np.ndarray) or b.shape != (cout,):
+        got = f"shape {b.shape}" if isinstance(b, np.ndarray) else type(b).__name__
+        raise ShapeError(f"bias must be a ({cout},) array, got {got}")
     taps = spec.kernel[0] * spec.kernel[1]
     if spec.transposed:
         return x.size * cout * taps
     return x.shape[0] * cout * ho * wo * w.shape[1] * taps
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -> np.ndarray:
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """2-D cross-correlation with stride, dilation and transposition.
 
     Plain weights have shape (Cout, Cin/groups, kh, kw); transposed
@@ -438,8 +426,10 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, spec: ConvSpec) -
     `_runs_rows` says so, else on `_conv_flat` (one GEMM, depthwise one
     scalar multiply per channel, per kernel tap over the flattened padded
     plane). A strided or transposed conv is one relayout into a stride-1
-    conv on `_conv_flat` over the phases of its stride (`_resample`). Each
-    engine adds the bias into its own accumulator; it may return a transposed view.
+    conv on `_conv_flat` over the phases of its stride (`_resample`). The
+    (Cout,) bias `b` is required, as every conv of the network carries
+    one: each engine adds it into its own accumulator, whose dtype it
+    promotes as `out + b` would. The result may be a transposed view.
     """
     macs = _check_conv(x, w, b, spec)
     if spec.transposed or spec.stride != (1, 1):
@@ -517,7 +507,8 @@ def _check_channels(kernel: str, x: np.ndarray, **vectors) -> None:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)), each step in place on one fresh array, which is returned."""
-    z = np.empty(np.shape(x), dtype=np.result_type(x, 1.0))
+    x = np.asarray(x)  # result_type would read a list as a structured dtype
+    z = np.empty(x.shape, dtype=np.result_type(x, 1.0))
     # clip at the dtype's exp bound (709 in float64, 88 in float32) keeps exp
     # finite; past it sigmoid rounds to 1, or stays below the smallest normal
     bound = float(np.floor(np.log(np.finfo(z.dtype).max)))

@@ -118,8 +118,8 @@ class DenseStack(Layer):
     Orientation: a flat-path first conv computes every column of the
     buffer's row pitch and keeps W of them per row, H·(W + 2Q) outputs for
     H·W kept. When that is more than W·(H + 2P), the cost with the axes
-    swapped, and no layer runs a Conv after its first one, or when every
-    multi-tap conv of the stack has its kernel along W only (a `Dlc` along
+    swapped, whatever runs after each first conv, or when every multi-tap
+    conv of the stack has its kernel along W only (a `Dlc` along
     frequency, whose border is (0, 0)), the stack runs on the transposed
     plane. It chooses that plane only by its buffer's layout, a
     (B, C_last, W + 2Q, H + 2P) array read through its transposed view:
@@ -142,8 +142,6 @@ class DenseStack(Layer):
         self._border = tuple(max(p[i] for p in self._pads) for i in range(2))
         self._specs = [conv.spec if r else replace(conv.spec, padding=(0, 0))
                        for conv, r in zip(heads, rowed)]
-        self._may_transpose = all(not isinstance(sub, Conv)
-                                  for layer in self.layers for sub in layer[1:])
         taps = [sub.spec.kernel for layer in self.layers for sub in layer
                 if isinstance(sub, Conv) and sub.spec.kernel != (1, 1)]
         self._along_w = bool(taps) and all(kh == 1 for kh, _ in taps)
@@ -157,7 +155,7 @@ class DenseStack(Layer):
         b, c, h, w = x.shape
         bh, bw = self._border
         dtype = np.result_type(x, ws[self.layers[0][0].w.name])
-        if self._along_w or self._may_transpose and h * (w + 2 * bw) > w * (h + 2 * bh):
+        if self._along_w or h * (w + 2 * bw) > w * (h + 2 * bh):
             # the transposed plane: every conv reads it where it lies
             buf = np.zeros((b, cins[-1], w + 2 * bw, h + 2 * bh), dtype).transpose(0, 1, 3, 2)
         else:
@@ -182,9 +180,10 @@ class DenseStack(Layer):
 
 
 def _tail(ws, subs, z, out=None):
-    """Apply a dense layer's sub-layers after its first conv to that conv's
-    fresh output z: a Conv makes a new map, an epilogue runs in place, and
-    the last sub-layer's result goes to `out` when one is given."""
+    """Apply the sub-layers that follow a conv (in a dense layer or a
+    critic block) to that conv's fresh output z: a Conv makes a new map,
+    an epilogue runs in place, and the last sub-layer's result goes to
+    `out` when one is given."""
     for k, sub in enumerate(subs, 1):
         if isinstance(sub, Conv):
             z = sub(ws, z)

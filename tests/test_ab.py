@@ -48,6 +48,32 @@ def test_within_bound_is_unresolved_on_a_wide_parent_unless_every_run_beats_it()
     assert ab.within_bound(parent, parent, "lower", 0.5) == "ok"  # spread 0.5 of the median
 
 
+def test_claim_met_needs_9_of_10_wins_beyond_the_parent_spread():
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # spread 0.045
+    clear = [p - 0.2 for p in parent]
+    assert ab.claim_met(parent, clear, "lower")
+    eight = clear[:8] + [1.5, 1.5]  # 8 of 10 wins, the median still far ahead
+    assert not ab.claim_met(parent, eight, "lower")
+    inside = [p - 0.02 for p in parent]  # 10 of 10 wins by less than the spread
+    assert not ab.claim_met(parent, inside, "lower")
+    tied = clear[:9] + parent[9:]  # a tie counts for neither side
+    assert ab.claim_met(parent, tied, "lower")
+    assert not ab.claim_met(parent, clear[:8] + parent[8:], "lower")
+    assert not ab.claim_met(parent, clear, "higher")
+    assert ab.claim_met(parent, [p + 0.2 for p in parent], "higher")
+
+
+def test_claim_must_name_a_run_workloads_metric(monkeypatch, tmp_path):
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(subprocess, "run", no_process)
+    for claim in ("train_micro.no_such_metric", "enhance_2s.latency_s.p50", "latency_s.p50"):
+        with pytest.raises(SystemExit):
+            ab.main(["--parent", "HEAD", "--workload", "train_micro", "--claim", claim,
+                     "--out", str(tmp_path / "bench.json")])
+
+
 def test_schedule_alternates_the_first_side_and_interleaves_workloads():
     plan = ab.schedule(["a", "b"])
     assert len(plan) == 4 * ab.PAIRS == 40

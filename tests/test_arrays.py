@@ -72,9 +72,9 @@ def test_transposed_conv_is_adjoint_of_forward():
     x = rng.standard_normal((1, 3, 8, 6))
     w = rng.standard_normal((4, 3, 2, 2))
     y = rng.standard_normal((1, 4, 4, 3))
-    fwd = conv2d(x, w, None, spec)
+    fwd = conv2d(x, w, np.zeros(4), spec)
     # the same tensor reads as (Cin, Cout, kh, kw) on the transposed side
-    back = conv2d(y, w, None, spec_t)
+    back = conv2d(y, w, np.zeros(3), spec_t)
     npt.assert_allclose(np.sum(fwd * y), np.sum(x * back), rtol=1e-12)
 
 
@@ -83,7 +83,7 @@ def test_transposed_conv_output_shape_and_out_pad():
                     transposed=True)
     x = np.random.default_rng(0).standard_normal((1, 2, 4, 9))
     w = np.random.default_rng(1).standard_normal((2, 3, 1, 3))
-    out = conv2d(x, w, None, spec)
+    out = conv2d(x, w, np.zeros(3), spec)
     assert out.shape == (1, 3, *conv_out_shape((4, 9), spec))
     assert out.shape[3] == 18
 
@@ -93,7 +93,7 @@ def test_flop_meter_counts_conv_macs():
     w = np.ones((5, 3, 3, 3))
     spec = ConvSpec(kernel=(3, 3), padding=(1, 1))
     with FlopMeter() as meter:
-        out = conv2d(x, w, None, spec)
+        out = conv2d(x, w, np.zeros(5), spec)
     assert meter.macs == out.size * 3 * 9
 
 
@@ -127,9 +127,14 @@ def test_conv_spec_validation():
 def test_conv2d_shape_errors():
     spec = ConvSpec(kernel=(3, 3), padding=(1, 1))
     with pytest.raises(ShapeError):
-        conv2d(np.zeros((2, 3, 4)), np.zeros((1, 3, 3, 3)), None, spec)
+        conv2d(np.zeros((2, 3, 4)), np.zeros((1, 3, 3, 3)), np.zeros(1), spec)
     with pytest.raises(ShapeError):
-        conv2d(np.zeros((1, 4, 8, 8)), np.zeros((1, 3, 3, 3)), None, spec)
+        conv2d(np.zeros((1, 4, 8, 8)), np.zeros((1, 3, 3, 3)), np.zeros(1), spec)
+    # the bias is required: every conv carries one
+    x, w = np.zeros((1, 3, 8, 8)), np.zeros((2, 3, 3, 3))
+    for b in (None, [0.0, 0.0], np.zeros(3), np.zeros((2, 1))):
+        with pytest.raises(ShapeError, match=r"bias must be a \(2,\) array"):
+            conv2d(x, w, b, spec)
 
 
 def test_same_pad_preserves_extent():
@@ -137,7 +142,7 @@ def test_same_pad_preserves_extent():
     assert same_pad((19, 1), (4, 1)) == (36, 0)
     x = np.random.default_rng(0).standard_normal((1, 1, 20, 7))
     spec = ConvSpec(kernel=(19, 1), dilation=(4, 1), padding=same_pad((19, 1), (4, 1)))
-    out = conv2d(x, np.ones((1, 1, 19, 1)), None, spec)
+    out = conv2d(x, np.ones((1, 1, 19, 1)), np.zeros(1), spec)
     assert out.shape == x.shape
 
 
@@ -342,6 +347,14 @@ def test_sigmoid_and_silu_in_place_match_the_chain_bitwise(x):
         assert type(got) is np.ndarray
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()  # NaN sign and payload included
+
+
+@pytest.mark.parametrize("fn", [sigmoid, silu])
+def test_sigmoid_and_silu_read_a_list_as_its_array(fn):
+    values = [0.5, -1.0, 800.0]
+    got, want = fn(values), fn(np.asarray(values))
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("fn", [sigmoid, silu])

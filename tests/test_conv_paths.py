@@ -69,7 +69,7 @@ def random_case(rng, transposed=False, max_stride=3):
     bsz = int(rng.integers(1, 3))
     x = rng.standard_normal((bsz, c, h, wid))
     wshape = (c, cout, *kernel) if transposed else (cout, 1 if depthwise else c, *kernel)
-    b = rng.standard_normal(cout) if rng.random() < 0.7 else None
+    b = rng.standard_normal(cout) if rng.random() < 0.7 else np.zeros(cout)
     return x, rng.standard_normal(wshape), b, spec
 
 
@@ -124,7 +124,7 @@ def test_noncontiguous_input():
     x = rng.standard_normal((1, 3, 12, 10))[:, :, 1:-1, ::2]
     for spec in (ConvSpec(kernel=(1, 1)), ConvSpec(kernel=(1, 3), dilation=(1, 2)),
                  ConvSpec(kernel=(3, 3), stride=(2, 2), padding=(1, 1))):
-        assert_matches_reference(x, rng.standard_normal((2, 3, *spec.kernel)), None, spec)
+        assert_matches_reference(x, rng.standard_normal((2, 3, *spec.kernel)), np.zeros(2), spec)
 
 
 def test_nonzero_bias_through_every_path():
@@ -238,9 +238,9 @@ def test_model_down_convs_match_reference():
 def test_groups_is_one_or_depthwise():
     x = np.zeros((1, 4, 6, 7))
     with pytest.raises(InvalidSpecError, match="groups"):
-        conv2d(x, np.zeros((4, 2, 3, 3)), None, ConvSpec(kernel=(3, 3), groups=2))
+        conv2d(x, np.zeros((4, 2, 3, 3)), np.zeros(4), ConvSpec(kernel=(3, 3), groups=2))
     with pytest.raises(InvalidSpecError, match="groups"):  # channel multiplier 2
-        conv2d(x, np.zeros((8, 1, 3, 3)), None, ConvSpec(kernel=(3, 3), groups=4))
+        conv2d(x, np.zeros((8, 1, 3, 3)), np.zeros(8), ConvSpec(kernel=(3, 3), groups=4))
     with pytest.raises(InvalidSpecError, match="groups"):
         ConvSpec(kernel=(3, 3), stride=(2, 2), groups=4)
     with pytest.raises(InvalidSpecError, match="groups"):
@@ -259,12 +259,13 @@ def test_fast_paths_build_no_window_view(monkeypatch):
     monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", no_windows)
     rng = np.random.default_rng(15)
     x = rng.standard_normal((1, 4, 6, 7))
-    conv2d(x, rng.standard_normal((3, 4, 3, 3)), None, ConvSpec(kernel=(3, 3), padding=(1, 1)))
-    conv2d(x, rng.standard_normal((4, 1, 3, 3)), None,
+    conv2d(x, rng.standard_normal((3, 4, 3, 3)), np.zeros(3),
+           ConvSpec(kernel=(3, 3), padding=(1, 1)))
+    conv2d(x, rng.standard_normal((4, 1, 3, 3)), np.zeros(4),
            ConvSpec(kernel=(3, 3), groups=4, padding=(1, 1)))
-    conv2d(x, rng.standard_normal((3, 4, 3, 3)), None,
+    conv2d(x, rng.standard_normal((3, 4, 3, 3)), np.zeros(3),
            ConvSpec(kernel=(3, 3), stride=(2, 2), padding=(1, 1)))
-    conv2d(x, rng.standard_normal((4, 2, 2, 2)), None,
+    conv2d(x, rng.standard_normal((4, 2, 2, 2)), np.zeros(2),
            ConvSpec(kernel=(2, 2), stride=(2, 2), transposed=True))
     cfg = micro_config()
     disc = model.init_discriminator(WeightStore())
@@ -272,7 +273,8 @@ def test_fast_paths_build_no_window_view(monkeypatch):
     mag = np.hypot(res.spec.re, res.spec.im)
     discriminate(mag, 0.5 * mag, disc)
     with pytest.raises(AssertionError, match="window view"):
-        conv2d_reference(x, rng.standard_normal((3, 4, 3, 3)), None, ConvSpec(kernel=(3, 3)))
+        conv2d_reference(x, rng.standard_normal((3, 4, 3, 3)), np.zeros(3),
+                         ConvSpec(kernel=(3, 3)))
 
     # Padding-0 convs over windows of a bordered buffer, and the dense stack
     # built on them, read their input in place: no padded or contiguous copy.
@@ -285,13 +287,14 @@ def test_fast_paths_build_no_window_view(monkeypatch):
     for case in bordered_views(rng):
         conv2d(*case)
     buf = rng.standard_normal((2, 20, 16, 17))  # a row-blocked conv on a window
-    conv2d(buf[:, 2:18, 1:-1, 2:-2], rng.standard_normal((16, 16, 3, 3)), None,
+    conv2d(buf[:, 2:18, 1:-1, 2:-2], rng.standard_normal((16, 16, 3, 3)), np.zeros(16),
            ConvSpec(kernel=(3, 3), dilation=(2, 2)))
     stack = model.dilated_dense("dense", 4, (1, 2, 4, 8))
     for shape in ((2, 4, 9, 10), (2, 4, 10, 9)):  # (H, W) and transposed plane
         stack(init_store(stack.manifest()), rng.standard_normal(shape))
     with pytest.raises(AssertionError, match="input copied"):
-        conv2d(x, rng.standard_normal((3, 4, 3, 3)), None, ConvSpec(kernel=(3, 3), padding=(1, 1)))
+        conv2d(x, rng.standard_normal((3, 4, 3, 3)), np.zeros(3),
+               ConvSpec(kernel=(3, 3), padding=(1, 1)))
 
 
 

@@ -14,6 +14,7 @@ from lort.errors import ShapeError
 from lort.layers import Conv, DenseStack, Layer, Norm, Param, PRelu, init_store
 from lort.local_refine import Lrc
 from lort.model import Encoder, ModelConfig, dilated_dense
+from lort.objectives import discriminate
 from lort.signal import Waveform
 from lort.verify import make_toy_task, micro_config
 from oracles import dense_concat
@@ -127,9 +128,10 @@ def test_row_blocked_heads_read_no_border(plane):
     assert got.flags.c_contiguous
 
 
-def test_stack_with_convs_after_the_head_keeps_its_plane():
-    """A bordered stack whose layers run a conv after the first one stays on
-    the (H, W) plane at W < H, where a bare-epilogue stack transposes."""
+def test_stack_with_convs_after_the_head_transposes_like_any_other():
+    """A bordered stack whose layers run a conv after the first one takes
+    the transposed plane at W < H, as a bare-epilogue stack does: each
+    later conv reads its head's transposed output where it lies."""
     stack = DenseStack(
         (Conv(f"s.layer{j}.conv", 3 * (j + 1), 3, (3, 3), dilation=(2, 2)),
          Conv(f"s.layer{j}.tail", 3, 3, (3, 3), dilation=(1, 2)),
@@ -140,7 +142,7 @@ def test_stack_with_convs_after_the_head_keeps_its_plane():
     got = stack(ws, x)
     want = dense_concat(stack, ws, x)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert got.strides[2] > got.strides[3]
+    assert got.strides[3] > got.strides[2]
 
 
 def test_dense_stack_promotes_like_the_concat():
@@ -177,13 +179,16 @@ def held_layers(value):
 @pytest.mark.parametrize("cfg,seconds", [(micro_config(), 0.25), (ModelConfig(), 0.1)],
                          ids=["micro", "reference"])
 def test_layers_hand_conv2d_the_stored_weight_and_the_declared_spec(monkeypatch, cfg, seconds):
-    """No layer swaps a weight or a spec: every conv of a forward, those of
-    the transposed dense stacks included, receives the very array its
-    layer's Param names in the store and the spec that layer declares (a
-    flat-path dense head's at padding 0, where it reads its border from the
-    buffer); `conv2d` reads each map on the plane it lies in."""
+    """No layer swaps a weight, a bias or a spec: every conv of a forward,
+    those of the transposed dense stacks included, and every conv of the
+    critic scoring its magnitudes, receives the very arrays its layer's
+    Params name in the store and the spec that layer declares (a
+    flat-path dense head's at padding 0, where it reads its border from
+    the buffer); `conv2d` reads each map on the plane it lies in."""
     net = lort.model.build_model(cfg)
-    specs = {conv.w.name: conv.spec for conv in held_layers(net) if isinstance(conv, Conv)}
+    convs = [conv for conv in held_layers(net) if isinstance(conv, Conv)]
+    specs = {conv.w.name: conv.spec for conv in convs}
+    biases = {conv.w.name: conv.b.name for conv in convs}
     for stack in held_layers(net):
         if isinstance(stack, DenseStack):
             for head, *_ in stack.layers:
@@ -193,18 +198,29 @@ def test_layers_hand_conv2d_the_stored_weight_and_the_declared_spec(monkeypatch,
     calls = []
 
     def recorded(x, w, b, spec):
-        calls.append((w, spec))
+        calls.append((w, b, spec))
         return arrays.conv2d(x, w, b, spec)
 
     monkeypatch.setattr(lort.layers, "conv2d", recorded)
     noisy = Waveform(0.1 * np.random.default_rng(7).standard_normal(int(16000 * seconds)))
-    lort.forward(noisy, ws, cfg)
+    res = lort.forward(noisy, ws, cfg)
     stored = {id(ws[name]): name for name in specs}
-    names = [stored.get(id(w)) for w, _ in calls]
+    names = [stored.get(id(w)) for w, _, _ in calls]
     assert None not in names, "a conv got a weight the store does not hold"
     assert set(names) == set(specs)  # every conv of the generator ran
-    for name, (w, spec) in zip(names, calls):
-        assert w is ws[name] and spec == specs[name], name
+    for name, (w, b, spec) in zip(names, calls):
+        assert w is ws[name] and b is ws[biases[name]] and spec == specs[name], name
+
+    # the critic's convs, over the forward's magnitudes
+    critic = [conv for conv in held_layers(lort.model.CRITIC) if isinstance(conv, Conv)]
+    disc = lort.model.init_discriminator(lort.WeightStore(), seed=8)
+    calls.clear()
+    mag = np.hypot(res.spec.re, res.spec.im)
+    discriminate(mag, 0.5 * mag, disc)
+    assert len(calls) == len(critic) == 5
+    for conv, (w, b, spec) in zip(critic, calls):
+        assert w is disc[conv.w.name] and b is disc[conv.b.name], conv.w.name
+        assert spec == conv.spec, conv.w.name
 
 
 def test_dense_stack_rejects_other_channel_counts():

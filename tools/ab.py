@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Interleaved A/B of the benchmark: a parent revision against this tree.
 
-    python3 tools/ab.py --parent REV [--workload W ...] [--dry-run]
-                        --out BENCH_<n>.json
+    python3 tools/ab.py --parent REV [--workload W ...] [--claim W.metric]
+                        [--dry-run] --out BENCH_<n>.json
 
 The parent side is REV, unpacked with `git archive` into a temporary
 directory that is removed afterwards; the change side is this working tree.
@@ -15,7 +15,9 @@ output holds, per workload, side and end-to-end metric of BENCHMARK.json,
 the runs, median and quartiles, the pairs the change won (ties count for
 neither), the parent's quartile spread and the metric's verdict against
 its bound (`within_bound`), over the seeds at which both sides measured
-the metric. `--dry-run` prints the schedule and runs nothing.
+the metric. `--claim W.metric` names the one metric the change claims to
+improve, on workload W; the output then holds the claim and whether it
+was met (`claim_met`). `--dry-run` prints the schedule and runs nothing.
 """
 from __future__ import annotations
 
@@ -79,6 +81,16 @@ def within_bound(parent: list[float], change: list[float], better: str, bound: f
         beats = all(sign * (p - c) > 0 for p in parent for c in change)
         return "ok" if beats else "unresolved"
     return "worse" if sign * (quartiles(change)[1] - med) > bound * abs(med) else "ok"
+
+
+def claim_met(parent: list[float], change: list[float], better: str) -> bool:
+    """Whether a claimed gain holds: the change wins at least 9 of 10
+    pairs (ties count for neither), and its median beats the parent's by
+    more than the parent's quartile spread."""
+    sign = 1 if better == "lower" else -1
+    q1, med, q3 = quartiles(parent)
+    return (10 * pairs_won(parent, change, better) >= 9 * len(parent)
+            and sign * (med - quartiles(change)[1]) > q3 - q1)
 
 
 def schedule(workloads: list[str]) -> list[tuple[int, str, str]]:
@@ -153,11 +165,17 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--workload", action="append", choices=names,
                     help="workload to run (repeatable; default: every workload)")
+    ap.add_argument("--claim", metavar="W.metric",
+                    help="the end-to-end metric the change claims to improve, on workload W")
     ap.add_argument("--dry-run", action="store_true", help="print the schedule, run nothing")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     seconds = spec["run_seconds"]
     workloads = args.workload or names
+    if args.claim:
+        claim_wl, _, claim_metric = args.claim.partition(".")
+        if claim_wl not in workloads or claim_metric not in [m["name"] for m in spec["end_to_end"]]:
+            ap.error(f"--claim {args.claim}: not a run workload's end-to-end metric")
     plan = schedule(workloads)
     if args.dry_run:
         for seed, wl, side in plan:
@@ -188,6 +206,12 @@ def main(argv=None) -> int:
         "workloads": {wl: {"seeds": list(first), "first_in_pair": list(first.values()), **rec}
                       for wl, rec in summarize(results, spec["end_to_end"]).items()},
     }
+    if args.claim:
+        rec = record["workloads"][claim_wl]["metrics"].get(claim_metric)
+        met = rec is not None and claim_met(rec["parent"]["runs"], rec["change"]["runs"],
+                                            rec["better"])
+        record["claim"] = {"workload": claim_wl, "metric": claim_metric, "met": met}
+        print(f"claim {args.claim}: {'met' if met else 'not met'}")
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0 if all(all(rec["correct"].values()) for rec in record["workloads"].values()) else 1
 
