@@ -19,7 +19,9 @@ from .arrays import ConvSpec, _runs_rows, conv2d, normalize, prelu, same_pad
 from .errors import InvalidParameterError, ShapeError, check_int
 from .weights import WeightStore
 
-__all__ = ["Layer", "Param", "Conv", "Norm", "PRelu", "DenseStack", "init_store", "zero_store"]
+__all__ = [
+    "Layer", "Param", "Conv", "Norm", "PRelu", "DenseStack", "tail", "init_store", "zero_store",
+]
 
 INIT_STD = 0.02
 
@@ -164,10 +166,10 @@ class DenseStack(Layer):
         maps[:, :c] = x
         del x  # a stem's output lives on in the buffer only
         for j, layer in enumerate(self.layers[:-1]):
-            _tail(ws, layer[1:], self._head(ws, buf, j), maps[:, cins[j] : cins[j + 1]])
+            tail(ws, layer[1:], self._head(ws, buf, j), maps[:, cins[j] : cins[j + 1]])
         z = self._head(ws, buf, len(cins) - 1)
         del buf, maps  # the last head conv was the buffer's last reader
-        return _tail(ws, self.layers[-1][1:], z)
+        return tail(ws, self.layers[-1][1:], z)
 
     def _head(self, ws, buf, j):
         """Layer j's first conv over its channels and border of the buffer
@@ -179,7 +181,7 @@ class DenseStack(Layer):
         return conv2d(view, ws[conv.w.name], ws[conv.b.name], self._specs[j])
 
 
-def _tail(ws, subs, z, out=None):
+def tail(ws, subs, z, out=None):
     """Apply the sub-layers that follow a conv (in a dense layer or a
     critic block) to that conv's fresh output z: a Conv makes a new map,
     an epilogue runs in place, and the last sub-layer's result goes to

@@ -21,7 +21,7 @@ from . import attention as att
 from .arrays import FlopMeter, lsigmoid, silu, zero_pad
 from .errors import (InvalidInputError, InvalidParameterError, ShapeError, WeightLookupError,
                      check_int)
-from .layers import Conv, DenseStack, Layer, Norm, Param, PRelu, _tail, init_store, zero_store
+from .layers import Conv, DenseStack, Layer, Norm, Param, PRelu, init_store, tail, zero_store
 from .local_refine import Lrc, lrc_block
 from .signal import (OLA_FLOOR, SAMPLE_RATE, ComplexSpec, Waveform, angle, check_stft_sizes,
                      decompose, invertible, istft, recompose, stft)
@@ -380,7 +380,7 @@ class Discriminator(Layer):
     def __call__(self, ws, x):
         """Logit per batch item of x, shaped (B, 2, T, F)."""
         for conv, *epilogues in self.blocks:
-            x = _tail(ws, epilogues, conv(ws, x))
+            x = tail(ws, epilogues, conv(ws, x))
         return self.head(ws, x.mean(axis=(2, 3), keepdims=True))[:, 0, 0, 0]
 
 

@@ -61,17 +61,26 @@ def test_claim_met_needs_9_of_10_wins_beyond_the_parent_spread():
     assert not ab.claim_met(parent, clear[:8] + parent[8:], "lower")
     assert not ab.claim_met(parent, clear, "higher")
     assert ab.claim_met(parent, [p + 0.2 for p in parent], "higher")
+    assert ab.claim_met(parent[:9], clear[:9], "lower")  # 9 of the 10 pairs measured
+    assert not ab.claim_met(parent[:8], clear[:8], "lower")  # 8 of 8 measured, of 10 run
 
 
-def test_claim_must_name_a_run_workloads_metric(monkeypatch, tmp_path):
-    def no_process(*args, **kwargs):
-        raise AssertionError("a process was started")
+def test_summarize_meets_no_claim_on_failed_ops_an_incorrect_run_or_a_biased_metric():
+    def line(value, failed=0, correct=True):
+        return {"correct": correct, "attempted": 10, "failed": failed,
+                "metrics": {"latency_s.p50": {"value": value}, "peak_rss_mb": {"value": value}}}
+    metrics = [{"name": n, "unit": "", "better": "lower", "bound": 0.1}
+               for n in ("latency_s.p50", "peak_rss_mb")]
+    parent = [line(1.0 + 0.01 * i) for i in range(10)]
+    change = [line(0.8 + 0.01 * i) for i in range(10)]  # a clear win on both metrics
 
-    monkeypatch.setattr(subprocess, "run", no_process)
-    for claim in ("train_micro.no_such_metric", "enhance_2s.latency_s.p50", "latency_s.p50"):
-        with pytest.raises(SystemExit):
-            ab.main(["--parent", "HEAD", "--workload", "train_micro", "--claim", claim,
-                     "--out", str(tmp_path / "bench.json")])
+    def met(change):
+        got = ab.summarize({"w": {"parent": parent, "change": change}}, metrics)["w"]["metrics"]
+        return got["latency_s.p50"]["claim_met"], got["peak_rss_mb"]["claim_met"]
+
+    assert met(change) == (True, False)
+    assert met(change[:9] + [line(0.89, failed=1)]) == (False, False)
+    assert met(change[:9] + [line(0.89, correct=False)]) == (False, False)
 
 
 def test_schedule_alternates_the_first_side_and_interleaves_workloads():

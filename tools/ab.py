@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Interleaved A/B of the benchmark: a parent revision against this tree.
 
-    python3 tools/ab.py --parent REV [--workload W ...] [--claim W.metric]
-                        [--dry-run] --out BENCH_<n>.json
+    python3 tools/ab.py --parent REV [--workload W ...] [--dry-run] --out BENCH_<n>.json
 
 The parent side is REV, unpacked with `git archive` into a temporary
 directory that is removed afterwards; the change side is this working tree.
@@ -15,9 +14,8 @@ output holds, per workload, side and end-to-end metric of BENCHMARK.json,
 the runs, median and quartiles, the pairs the change won (ties count for
 neither), the parent's quartile spread and the metric's verdict against
 its bound (`within_bound`), over the seeds at which both sides measured
-the metric. `--claim W.metric` names the one metric the change claims to
-improve, on workload W; the output then holds the claim and whether it
-was met (`claim_met`). `--dry-run` prints the schedule and runs nothing.
+the metric, and whether a claimed gain on it would hold (`claim_met`).
+`--dry-run` prints the schedule and runs nothing.
 """
 from __future__ import annotations
 
@@ -36,6 +34,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("change", "parent")
 PAIRS = 10
+# Metrics that read better on the change side for code identical to the
+# parent's (peak RSS read 0.4-3.6 MB lower in 10 of 10 pairs on enhance_2s
+# and long_8s, the change running from the repository and the parent from
+# an unpacked archive), so no claim on them is met until the bias is found.
+BIASED = frozenset({"peak_rss_mb"})
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +87,13 @@ def within_bound(parent: list[float], change: list[float], better: str, bound: f
 
 
 def claim_met(parent: list[float], change: list[float], better: str) -> bool:
-    """Whether a claimed gain holds: the change wins at least 9 of 10
-    pairs (ties count for neither), and its median beats the parent's by
-    more than the parent's quartile spread."""
+    """Whether a claimed gain holds on the pairs both sides measured:
+    the change wins at least 9 in 10 of the PAIRS scheduled (a pair not
+    measured, like a tie, counts for neither), and its median beats the
+    parent's by more than the parent's quartile spread."""
     sign = 1 if better == "lower" else -1
     q1, med, q3 = quartiles(parent)
-    return (10 * pairs_won(parent, change, better) >= 9 * len(parent)
+    return (10 * pairs_won(parent, change, better) >= 9 * PAIRS
             and sign * (med - quartiles(change)[1]) > q3 - q1)
 
 
@@ -103,7 +107,9 @@ def schedule(workloads: list[str]) -> list[tuple[int, str, str]]:
 def summarize(results: dict, metrics: list[dict]) -> dict:
     """The per-workload record from `results[workload][side]`, a list of
     perfbench result lines in seed order, for the declared `metrics`. A
-    metric's pairs are the seeds at which both sides measured it."""
+    metric's pairs are the seeds at which both sides measured it. No
+    claim is met where the change fails more ops than the parent, a run
+    on either side is not correct, or the metric is BIASED."""
     out = {}
     for wl, sides in results.items():
         rec = {
@@ -113,6 +119,8 @@ def summarize(results: dict, metrics: list[dict]) -> dict:
             "correct": {s: all(r["correct"] for r in sides[s]) for s in SIDES},
             "metrics": {},
         }
+        clean = (rec["failed_ops"]["change"] <= rec["failed_ops"]["parent"]
+                 and all(rec["correct"].values()))
         for m in metrics:
             pairs = [(p["metrics"][m["name"]]["value"], c["metrics"][m["name"]]["value"])
                      for p, c in zip(sides["parent"], sides["change"], strict=True)
@@ -122,7 +130,9 @@ def summarize(results: dict, metrics: list[dict]) -> dict:
                 rec["metrics"][m["name"]] = {
                     "unit": m["unit"], "better": m["better"], "bound": m["bound"],
                     **compare(parent, change, m["better"]),
-                    "within_bound": within_bound(parent, change, m["better"], m["bound"])}
+                    "within_bound": within_bound(parent, change, m["better"], m["bound"]),
+                    "claim_met": (clean and m["name"] not in BIASED
+                                  and claim_met(parent, change, m["better"]))}
         out[wl] = rec
     return out
 
@@ -165,17 +175,11 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--workload", action="append", choices=names,
                     help="workload to run (repeatable; default: every workload)")
-    ap.add_argument("--claim", metavar="W.metric",
-                    help="the end-to-end metric the change claims to improve, on workload W")
     ap.add_argument("--dry-run", action="store_true", help="print the schedule, run nothing")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     seconds = spec["run_seconds"]
     workloads = args.workload or names
-    if args.claim:
-        claim_wl, _, claim_metric = args.claim.partition(".")
-        if claim_wl not in workloads or claim_metric not in [m["name"] for m in spec["end_to_end"]]:
-            ap.error(f"--claim {args.claim}: not a run workload's end-to-end metric")
     plan = schedule(workloads)
     if args.dry_run:
         for seed, wl, side in plan:
@@ -206,12 +210,6 @@ def main(argv=None) -> int:
         "workloads": {wl: {"seeds": list(first), "first_in_pair": list(first.values()), **rec}
                       for wl, rec in summarize(results, spec["end_to_end"]).items()},
     }
-    if args.claim:
-        rec = record["workloads"][claim_wl]["metrics"].get(claim_metric)
-        met = rec is not None and claim_met(rec["parent"]["runs"], rec["change"]["runs"],
-                                            rec["better"])
-        record["claim"] = {"workload": claim_wl, "metric": claim_metric, "met": met}
-        print(f"claim {args.claim}: {'met' if met else 'not met'}")
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0 if all(all(rec["correct"].values()) for rec in record["workloads"].values()) else 1
 
