@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Interleaved A/B of the benchmark: a parent revision against this tree.
 
-    python3 tools/ab.py --parent REV [--workload W ...] [--dry-run] --out BENCH_<n>.json
+    python3 tools/ab.py --parent REV [--workload W ...] [--dry-run]
+                        --out BENCH_<n>.json
 
 The parent side is REV, unpacked with `git archive` into a temporary
 directory that is removed afterwards; the change side is this working tree.
@@ -34,10 +35,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("change", "parent")
 PAIRS = 10
-# Metrics that read better on the change side for code identical to the
-# parent's (peak RSS read 0.4-3.6 MB lower in 10 of 10 pairs on enhance_2s
-# and long_8s, the change running from the repository and the parent from
-# an unpacked archive), so no claim on them is met until the bias is found.
+# Metrics whose sides stand apart in 10 of 10 pairs for code that does the
+# same work (peak RSS: 1.1-3.6 MB on long_8s, lower or higher on the change
+# side from one A/B to the next), so no claim on them is met until the
+# cause is found.
 BIASED = frozenset({"peak_rss_mb"})
 
 
